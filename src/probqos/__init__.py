@@ -25,7 +25,6 @@ from .geometry import (
     HPolytope,
     LPInfeasibleError,
     LPUnboundedError,
-    Simplex,
     UnboundedPolytopeError,
     analytic_center,
     bounding_box,
@@ -48,7 +47,6 @@ from .learning import (
     bandwidth_scott,
     bandwidth_silverman,
     fit_kde_cv,
-    kde_density,
 )
 from .profiles import (
     AttributeSchema,
@@ -124,7 +122,6 @@ __all__ = [
     "SelectionResult",
     "SerializationError",
     "ServiceEntry",
-    "Simplex",
     "ThinRegionError",
     "UnboundedPolytopeError",
     "UniformBox",
@@ -143,7 +140,6 @@ __all__ = [
     "fit_kde_cv",
     "integrate_rejection_box",
     "integrate_uniform",
-    "kde_density",
     "load_profile",
     "load_repository",
     "parse_region",

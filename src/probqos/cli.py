@@ -83,7 +83,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--z", type=float, default=3.0,
                         help="confidence band half-width in standard errors")
     parser.add_argument("--workers", type=int, default=1,
-                        help="deterministic parallel substream count")
+                        help="re-split the Monte Carlo draws into N substreams; "
+                             "changes the estimates, not the speed")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
 

@@ -3,6 +3,8 @@
 A region is an H-polytope {x : A x <= b}. Construction verifies boundedness
 by solving 2n linear programs (one per axis direction); the same LP kernel
 supplies interior points and the bounding box used for rejection sampling.
+`box_pass` is the one loop over uniform box proposals: the volume estimate,
+rejection-regime integration and their worker split all go through it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .rng import RngStream, as_stream
 
 PIVOT_TOL = 1e-9
 BARRIER_GRAD_TOL = 1e-8
-RANK_TOL = 1e-9
 
 _CHUNK = 262_144
 
@@ -42,10 +43,6 @@ class UnboundedPolytopeError(GeometryError):
 
 
 class EmptyInteriorError(GeometryError):
-    pass
-
-
-class DegenerateSimplexError(GeometryError):
     pass
 
 
@@ -208,7 +205,8 @@ class HPolytope:
 
     Unbounded or infeasible systems are rejected at construction: the
     bounding box is computed via 2n LP solves and must succeed in every
-    direction.
+    direction. `box_rows` lists the rows the bounding box does not imply;
+    they are the only ones a box proposal is tested against.
     """
 
     def __init__(self, constraint_matrix, bounds, attribute_names: Sequence[str] | None = None):
@@ -237,6 +235,16 @@ class HPolytope:
         self.bounds = b
         self.attribute_names = names
         self._box = self._compute_bounding_box()
+        # Row j holds on the whole box when its maximum there,
+        # sum_i max(a_ji * lower_i, a_ji * upper_i), is at most b_j; box
+        # proposals are tested against the other rows only.
+        box = self._box
+        row_max = np.maximum(A * box.lower, A * box.upper).sum(axis=1)
+        rows = np.flatnonzero(row_max > b)
+        rows.flags.writeable = False
+        self.box_rows = rows
+        self._box_A = A[rows]
+        self._box_b = b[rows]
 
     @property
     def dim(self) -> int:
@@ -287,6 +295,14 @@ class HPolytope:
             raise DimensionMismatchError("points must be a (k, n) array")
         return np.all(pts @ self.constraint_matrix.T <= self.bounds, axis=1)
 
+    def contains_box_points(self, points: np.ndarray) -> np.ndarray:
+        """Membership mask for a (k, n) array of points inside the bounding box.
+
+        Only the rows in `box_rows` are tested, since the box implies the
+        rest; for arbitrary points use `contains_all`.
+        """
+        return np.all(points @ self._box_A.T <= self._box_b, axis=1)
+
     def slacks(self, point) -> np.ndarray:
         return self.bounds - self.constraint_matrix @ np.asarray(point, dtype=float)
 
@@ -302,52 +318,9 @@ class HPolytope:
         return f"HPolytope(m={self.num_constraints}, attrs={self.attribute_names})"
 
 
-@dataclass(frozen=True)
-class Simplex:
-    """Convex hull of n+1 affinely independent points in R^n."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        V = np.asarray(self.vertices, dtype=float)
-        if V.ndim != 2 or V.shape[0] != V.shape[1] + 1:
-            raise DimensionMismatchError("a simplex in R^n needs n+1 vertices")
-        E = (V[1:] - V[0]).T
-        sv = np.linalg.svd(E, compute_uv=False)
-        if sv.size == 0 or sv[-1] <= RANK_TOL * max(1.0, sv[0]):
-            raise DegenerateSimplexError("vertices are not affinely independent")
-        V.flags.writeable = False
-        object.__setattr__(self, "vertices", V)
-
-    @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-    def barycentric(self, point) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.dim,):
-            raise DimensionMismatchError("point dimension does not match simplex")
-        E = (self.vertices[1:] - self.vertices[0]).T
-        t_rest = np.linalg.solve(E, p - self.vertices[0])
-        return np.concatenate([[1.0 - t_rest.sum()], t_rest])
-
-    def contains(self, point, tol: float = RANK_TOL) -> bool:
-        return bool(np.all(self.barycentric(point) >= -tol))
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def contains(poly: HPolytope, point) -> bool:
-    """Exact membership test: A point <= b componentwise, boundary included."""
-    return poly.contains(point)
-
-
-def simplex_contains(simplex: Simplex, point) -> bool:
-    """Membership via barycentric coordinates (t_i >= -eps)."""
-    return simplex.contains(point)
-
 
 def solve_lp(objective, poly: HPolytope, sense: str = "min"):
     """Optimize a linear objective over the polytope.
@@ -416,37 +389,70 @@ def analytic_center(poly: HPolytope, grad_tol: float = BARRIER_GRAD_TOL,
     raise GeometryError("analytic center did not converge")
 
 
-def estimate_volume(poly: HPolytope, k: int, rng_seed: "int | RngStream",
-                    workers: int = 1):
-    """Rejection volume estimate from k uniform bounding-box samples.
+def box_pass(poly: HPolytope, k: int, rng: "int | RngStream", workers: int = 1,
+             keep_hits: bool = False):
+    """Draw k uniform bounding-box proposals once and test them for membership.
 
-    Returns (volume, std_error): volume = Vol(box) * hits/k, std_error the
-    binomial-proportion standard error scaled by the box volume. Work splits
-    deterministically across `workers` substreams.
+    Worker w draws its share of k (the first k % workers workers take one
+    extra) from rng.substream(w), in chunks of at most 262,144 points; the
+    split changes the draws, not the speed. Only the rows in
+    `poly.box_rows` are tested. Returns (hits, points): the number of
+    proposals inside the polytope, and the accepted proposals in draw order
+    as an (hits, n) array when `keep_hits`, else None. A box of zero volume
+    draws nothing and reports no hits.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    stream = as_stream(rng_seed)
+    stream = as_stream(rng)
     box = poly.bounding_box
-    vbox = box.volume
-    if vbox == 0.0:
+    n = poly.dim
+    if box.volume == 0.0:
         # measure-zero region: no box sample can land strictly inside
-        return 0.0, 0.0
-    counts = [k // workers + (1 if w < k % workers else 0) for w in range(workers)]
+        return 0, (np.empty((0, n)) if keep_hits else None)
+    width = box.upper - box.lower
+    test_rows = poly.box_rows.size > 0
+    kept = []
     hits = 0
-    for w, kw in enumerate(counts):
+    for w in range(workers):
+        kw = k // workers + (1 if w < k % workers else 0)
         if kw == 0:
             continue
         gen = stream.substream(w).generator()
         done = 0
         while done < kw:
             c = min(_CHUNK, kw - done)
-            pts = gen.uniform(box.lower, box.upper, size=(c, poly.dim))
-            hits += int(np.count_nonzero(poly.contains_all(pts)))
+            # the draws of gen.uniform(lower, upper), bit for bit, without
+            # its broadcasting overhead
+            pts = gen.random((c, n))
+            pts *= width
+            pts += box.lower
+            if test_rows:
+                pts = pts.compress(poly.contains_box_points(pts), axis=0)
+            hits += pts.shape[0]
+            if keep_hits:
+                kept.append(pts)
             done += c
+    if not keep_hits:
+        return hits, None
+    return hits, (kept[0] if len(kept) == 1 else np.concatenate(kept))
+
+
+def volume_from_hits(box_volume: float, hits: int, k: int):
+    """(volume, std_error) from `hits` of k uniform box proposals: Vol(box) *
+    hits/k with the binomial-proportion standard error scaled to match."""
     p = hits / k
-    volume = vbox * p
-    std_error = vbox * np.sqrt(p * (1.0 - p) / k)
-    return float(volume), float(std_error)
+    return float(box_volume * p), float(box_volume * np.sqrt(p * (1.0 - p) / k))
+
+
+def estimate_volume(poly: HPolytope, k: int, rng_seed: "int | RngStream",
+                    workers: int = 1):
+    """Rejection volume estimate from one `box_pass` of k proposals.
+
+    Returns (volume, std_error): volume = Vol(box) * hits/k, std_error the
+    binomial-proportion standard error scaled by the box volume. A box
+    keeps no rows to test, so it gets (Vol(box), 0.0) exactly.
+    """
+    hits, _ = box_pass(poly, k, rng_seed, workers)
+    return volume_from_hits(poly.bounding_box.volume, hits, k)

@@ -1,9 +1,12 @@
 """Monte Carlo estimation of region probabilities P(X in R).
 
-The main estimator draws uniform points in the region and scales the mean
-density by the region volume; a bounding-box variant folds the volume into
-the estimator and serves as an independent cross-check. Both quantify their
-uncertainty and converge at the dimension-independent 1/sqrt(k) rate.
+The estimator is the paper's Vol(R) * mean(density at uniform points of R),
+built on one pass of k uniform bounding-box proposals. When the box
+acceptance is high enough, the pass's accepted points are the region sample
+and Vol(box) * hits/k is the volume, so the estimate is Vol(box) * mean(f *
+1_R) over the k proposals; otherwise the pass supplies the volume and a
+Dikin walk the region sample. Both quantify their uncertainty and converge
+at the dimension-independent 1/sqrt(k) rate.
 """
 
 from __future__ import annotations
@@ -13,19 +16,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import HPolytope, estimate_volume
+from .geometry import HPolytope, box_pass, volume_from_hits
+from .geometry import estimate_volume  # noqa: F401  (looked up here by perfbench/tracing.py)
 from .profiles import QoSProfile
 from .rng import RngStream, as_stream
 from .sampling import (
     REJECTION_ACCEPTANCE_THRESHOLD,
     DikinWalkConfig,
     dikin_walk,
-    rejection_sample,
+    rejection_sample,  # noqa: F401  (looked up here by perfbench/tracing.py)
 )
 
 DEFAULT_SAMPLES = 200_000
-
-_CHUNK = 262_144
 
 
 class SchemaMismatchError(Exception):
@@ -52,31 +54,48 @@ def _check_schema(profile: QoSProfile, region: HPolytope) -> None:
         )
 
 
+def _box_mean(profile: QoSProfile, points: np.ndarray, k: int, box_volume: float):
+    """Vol(box) * mean(f * 1_R) over k box proposals, given the accepted
+    `points`, and its standard error Vol(box) * sd(f * 1_R) / sqrt(k)."""
+    if points.shape[0] == 0:
+        return 0.0, 0.0
+    f = profile.density(points)
+    mean_g = float(f.sum()) / k
+    # squared deviations of f * 1_R: the misses each contribute mean_g^2
+    ss = float(((f - mean_g) ** 2).sum()) + (k - f.shape[0]) * mean_g * mean_g
+    return box_volume * mean_g, box_volume * float(np.sqrt(ss / (k - 1) / k))
+
+
 def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
                       rng: "RngStream | int",
                       walk_config: DikinWalkConfig | None = None,
                       workers: int = 1) -> IntegralEstimate:
-    """Estimate integral of the profile density over the region as V * mean(f).
+    """Estimate the integral of the profile density over the region as V * mean(f).
 
-    The volume comes from the rejection estimator on its own substream; the
-    k region points come from rejection sampling when the box acceptance rate
-    allows it, otherwise from the Dikin walk. The reported standard error
-    combines the density sample variance with the volume estimator's error
-    by first-order propagation.
+    One `box_pass` of k bounding-box proposals on rng.substream(0) gives the
+    volume V = Vol(box) * hits/k, the same as `estimate_volume` on that
+    substream. When the acceptance hits/k is at least
+    REJECTION_ACCEPTANCE_THRESHOLD, the accepted proposals are the uniform
+    region points, so V * mean(f over the hits) = Vol(box) * mean(f * 1_R)
+    over all k proposals, whose standard error Vol(box) * sd(f * 1_R) /
+    sqrt(k) covers the volume's error too. Below the threshold, k region
+    points come from a Dikin walk on rng.substream(1), and the standard
+    error combines the density sample variance with the volume's binomial
+    error by first-order propagation.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     _check_schema(profile, region)
     stream = as_stream(rng)
-    volume, volume_se = estimate_volume(region, k, stream.substream(0), workers=workers)
+    hits, points = box_pass(region, k, stream.substream(0), workers, keep_hits=True)
+    vbox = region.bounding_box.volume
+    volume, volume_se = volume_from_hits(vbox, hits, k)
     if volume == 0.0:
         return IntegralEstimate(0.0, 0.0, k, "uniform-polytope", 0.0)
-    acceptance = volume / region.bounding_box.volume
-    if acceptance >= REJECTION_ACCEPTANCE_THRESHOLD:
-        points = rejection_sample(region, k, stream.substream(1))
-    else:
-        points = dikin_walk(region, k, walk_config or DikinWalkConfig(),
-                            stream.substream(1))
+    if hits / k >= REJECTION_ACCEPTANCE_THRESHOLD:
+        value, std_error = _box_mean(profile, points, k, vbox)
+        return IntegralEstimate(value, std_error, k, "uniform-polytope", volume)
+    points = dikin_walk(region, k, walk_config or DikinWalkConfig(), stream.substream(1))
     f = profile.density(points)
     mean_f = float(f.mean())
     var_f = float(f.var(ddof=1))
@@ -89,32 +108,14 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
 def integrate_rejection_box(profile: QoSProfile, region: HPolytope, k: int,
                             rng: "RngStream | int",
                             workers: int = 1) -> IntegralEstimate:
-    """Variant folding the volume in: Vol(box) * mean(f * 1_R) over box samples."""
+    """Vol(box) * mean(f * 1_R) over one `box_pass` of k proposals on rng,
+    whatever the acceptance: the estimator `integrate_uniform` uses above
+    the rejection threshold, drawn on a different substream."""
     if k < 2:
         raise ValueError("k must be >= 2")
     _check_schema(profile, region)
-    stream = as_stream(rng)
-    box = region.bounding_box
-    vbox = box.volume
-    counts = [k // workers + (1 if w < k % workers else 0) for w in range(workers)]
-    total = 0.0
-    total_sq = 0.0
-    for w, kw in enumerate(counts):
-        if kw == 0:
-            continue
-        gen = stream.substream(w).generator()
-        done = 0
-        while done < kw:
-            c = min(_CHUNK, kw - done)
-            pts = gen.uniform(box.lower, box.upper, size=(c, region.dim))
-            g = profile.density(pts) * region.contains_all(pts)
-            total += float(g.sum())
-            total_sq += float((g * g).sum())
-            done += c
-    mean_g = total / k
-    var_g = max(total_sq / k - mean_g * mean_g, 0.0) * k / (k - 1)
-    value = vbox * mean_g
-    std_error = vbox * float(np.sqrt(var_g / k))
+    _, points = box_pass(region, k, rng, workers, keep_hits=True)
+    value, std_error = _box_mean(profile, points, k, region.bounding_box.volume)
     return IntegralEstimate(value, std_error, k, "rejection-box", None)
 
 

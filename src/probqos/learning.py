@@ -22,15 +22,11 @@ __all__ = [
     "LearningError",
     "QoSRecordSet",
     "KDEProfile",
-    "kde_density",
     "bandwidth_scott",
     "bandwidth_silverman",
     "fit_kde_cv",
     "KERNELS",
 ]
-
-# Density evaluation is O(m * n) per point; fine at desk scale, slow beyond.
-LARGE_RECORD_WARNING_THRESHOLD = 100_000
 
 # Chunk evaluation so the (points x observations) matrix stays modest.
 _MAX_ELEMENTS = 4_000_000
@@ -235,10 +231,6 @@ class KDEProfile(QoSProfile):
         pad = padding_bandwidths * self.bandwidths
         return Box(self.observations.min(axis=0) - pad,
                    self.observations.max(axis=0) + pad)
-
-
-def kde_density(profile: KDEProfile, point) -> float:
-    return profile.density_at(point)
 
 
 # ---------------------------------------------------------------------------

@@ -154,16 +154,6 @@ class QoSProfile(ABC):
         return float(self.density(p[None, :])[0])
 
 
-def density_at(profile: QoSProfile, point) -> float:
-    return profile.density_at(point)
-
-
-def sample(profile: QoSProfile, k: int, rng: "RngStream | int") -> np.ndarray:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return profile.sample(k, rng)
-
-
 class IndependentProduct(QoSProfile):
     """Joint density factorizing as the product of univariate marginals."""
 

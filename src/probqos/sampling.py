@@ -53,8 +53,9 @@ class DikinWalkConfig:
 def rejection_sample(poly: HPolytope, k: int, rng: "RngStream | int") -> np.ndarray:
     """k i.i.d. uniform points in the polytope, by bounding-box rejection.
 
-    Exact uniformity (no MCMC bias). Aborts with ThinRegionError after 10^6
-    consecutive rejected proposals.
+    Exact uniformity (no MCMC bias). Proposals are tested against the rows
+    the box does not imply (`HPolytope.box_rows`). Aborts with
+    ThinRegionError after 10^6 consecutive rejected proposals.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -67,7 +68,7 @@ def rejection_sample(poly: HPolytope, k: int, rng: "RngStream | int") -> np.ndar
     consecutive = 0
     while got < k:
         pts = gen.uniform(box.lower, box.upper, size=(batch, n))
-        mask = poly.contains_all(pts)
+        mask = poly.contains_box_points(pts)
         hits = pts[mask]
         if hits.shape[0] == 0:
             consecutive += batch

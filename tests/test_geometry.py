@@ -4,14 +4,14 @@ import pytest
 from probqos import (
     Box,
     HPolytope,
-    Simplex,
     analytic_center,
+    RngStream,
     bounding_box,
     estimate_volume,
     solve_lp,
 )
 from probqos.geometry import (
-    DegenerateSimplexError,
+    box_pass,
     DimensionMismatchError,
     EmptyInteriorError,
     GeometryError,
@@ -19,7 +19,6 @@ from probqos.geometry import (
     LPUnboundedError,
     UnboundedPolytopeError,
     _lp_min,
-    simplex_contains,
 )
 
 
@@ -109,22 +108,6 @@ class TestHPolytope:
         assert triangle.structural_key() == other.structural_key()
 
 
-class TestSimplex:
-    def test_contains(self):
-        s = Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        assert simplex_contains(s, [0.2, 0.2])
-        assert not simplex_contains(s, [0.8, 0.8])
-
-    def test_barycentric_sums_to_one(self):
-        s = Simplex(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-        t = s.barycentric([0.5, 0.5])
-        assert t.sum() == pytest.approx(1.0)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateSimplexError):
-            Simplex(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
-
-
 class TestAnalyticCenter:
     def test_triangle_center(self, triangle):
         # minimizing the log barrier of {x,y >= 0, x+y <= 1} gives (1/3, 1/3)
@@ -175,3 +158,27 @@ class TestVolume:
         a = estimate_volume(triangle, 50_000, rng_seed=11, workers=4)
         b = estimate_volume(triangle, 50_000, rng_seed=11, workers=4)
         assert a == b
+
+
+class TestBoxPass:
+    def test_box_rows(self, unit_square, triangle):
+        assert unit_square.box_rows.tolist() == []
+        assert triangle.box_rows.tolist() == [2]  # only x + y <= 1 cuts the box
+
+    def test_kept_points_are_the_hits(self, triangle):
+        stream = RngStream(7)
+        hits, pts = box_pass(triangle, 10_000, stream, workers=3, keep_hits=True)
+        # reference: gen.uniform draws per worker substream, full membership test
+        box = triangle.bounding_box
+        ref = np.concatenate([
+            stream.substream(w).generator().uniform(box.lower, box.upper, size=(kw, 2))
+            for w, kw in enumerate((3_334, 3_333, 3_333))])
+        np.testing.assert_array_equal(pts, ref[triangle.contains_all(ref)])
+        volume, _ = estimate_volume(triangle, 10_000, stream, workers=3)
+        assert volume == box.volume * (hits / 10_000)
+
+    def test_validation(self, triangle):
+        with pytest.raises(ValueError):
+            box_pass(triangle, 0, RngStream(0))
+        with pytest.raises(ValueError):
+            box_pass(triangle, 10, RngStream(0), workers=0)

@@ -8,15 +8,17 @@ from probqos import (
     RngStream,
     UniformBox,
     convergence_scan,
+    estimate_volume,
     integrate_rejection_box,
     integrate_uniform,
     parse_region,
     rectangle_probability,
 )
 from probqos.integrate import SchemaMismatchError
-from probqos.reference import SCHEMA, independent_profile
+from probqos.reference import R_GOOD_TEXT, SCHEMA, correlated_profile, independent_profile
 
 R_BOX = parse_region("60 <= TP && TP <= 100 && 0 <= RT && RT <= 300", SCHEMA)
+R_GOOD = parse_region(R_GOOD_TEXT, SCHEMA)
 ORACLE = rectangle_probability(independent_profile(),
                                Box(np.array([60.0, 0.0]), np.array([100.0, 300.0])))
 
@@ -70,6 +72,24 @@ class TestIntegrateUniform:
         est = integrate_uniform(independent_profile(), thin, 5_000, RngStream(2))
         assert 0.0 <= est.value <= 1.0
         assert est.std_error > 0.0
+
+
+class TestSingleBoxPass:
+    def test_reported_se_matches_spread_over_seeds(self):
+        # R_GOOD takes the rejection regime (box acceptance 0.917)
+        estimates = [integrate_uniform(correlated_profile(), R_GOOD, 2_000, RngStream(s))
+                     for s in range(200)]
+        spread = float(np.std([e.value for e in estimates], ddof=1))
+        reported = float(np.mean([e.std_error for e in estimates]))
+        assert abs(spread / reported - 1.0) <= 0.15, (spread, reported)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_volume_used_is_the_volume_pass(self, workers):
+        stream = RngStream(21)
+        est = integrate_uniform(correlated_profile(), R_GOOD, 2_000, stream,
+                                workers=workers)
+        assert est.volume_used == estimate_volume(R_GOOD, 2_000, stream.substream(0),
+                                                  workers)[0]
 
 
 class TestIntegrateRejectionBox:

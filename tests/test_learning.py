@@ -13,7 +13,6 @@ from probqos import (
     bandwidth_silverman,
     fit_kde_cv,
     integrate_uniform,
-    kde_density,
     parse_region,
 )
 from probqos.geometry import DimensionMismatchError
@@ -75,20 +74,20 @@ class TestKDEProfile:
     def test_single_bump_peak(self):
         # one standard-gaussian bump in 2-D peaks at 1/(2 pi)
         profile = KDEProfile(SCHEMA_XY, np.zeros((1, 2)), "gaussian", (1.0, 1.0))
-        assert kde_density(profile, [0.0, 0.0]) == pytest.approx(1 / (2 * math.pi))
+        assert profile.density_at([0.0, 0.0]) == pytest.approx(1 / (2 * math.pi))
 
     def test_mirror_symmetry(self):
         profile = KDEProfile(SCHEMA_XY, np.array([[-1.0, 0.0], [1.0, 0.0]]),
                              "exponential", (0.5, 0.7))
-        assert kde_density(profile, [0.4, 0.2]) == pytest.approx(
-            kde_density(profile, [-0.4, 0.2]))
+        assert profile.density_at([0.4, 0.2]) == pytest.approx(
+            profile.density_at([-0.4, 0.2]))
 
     def test_row_permutation_invariance(self):
         obs = RngStream(0).generator().standard_normal((20, 2))
         a = KDEProfile(SCHEMA_XY, obs, "gaussian", (0.5, 0.5))
         b = KDEProfile(SCHEMA_XY, obs[::-1], "gaussian", (0.5, 0.5))
         pt = [0.3, -0.2]
-        assert kde_density(a, pt) == pytest.approx(kde_density(b, pt))
+        assert a.density_at(pt) == pytest.approx(b.density_at(pt))
 
     @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
     def test_box_mass_normalizes(self, kernel):

@@ -7,8 +7,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probqos import AttributeSchema, Box, QoSRecordSet, RngStream, bandwidth_scott
+from probqos import (
+    AttributeSchema,
+    Box,
+    HPolytope,
+    QoSRecordSet,
+    RngStream,
+    bandwidth_scott,
+    estimate_volume,
+    parse_region,
+)
 from probqos.learning import KDEProfile
+from probqos.reference import R_BAD_TEXT, R_BOX_TEXT, R_GOOD_TEXT, SCHEMA
 from probqos.reqast import Not, Or, PropVar, and_, evaluate, iff, implies
 from probqos.sat import collect_prop_vars, dpll_sat
 
@@ -75,3 +85,62 @@ def test_kde_box_mass_monotone_in_box(center, width, kernel):
     large = Box(small.lower - 1.0, small.upper + 1.0)
     m_small, m_large = profile.box_mass(small), profile.box_mass(large)
     assert 0.0 <= m_small <= m_large <= 1.0 + 1e-12
+
+
+FIXTURE_REGIONS = {name: parse_region(text, SCHEMA) for name, text in
+                   (("box", R_BOX_TEXT), ("good", R_GOOD_TEXT), ("bad", R_BAD_TEXT))}
+
+
+@st.composite
+def bounded_polytopes(draw):
+    """An integer box plus up to four random cuts through a point inside it."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    lo = np.array(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)), float)
+    width = np.array(draw(st.lists(st.integers(1, 20), min_size=n, max_size=n)), float)
+    rows = [np.eye(n), -np.eye(n)]
+    bounds = [lo + width, -lo]
+    center = lo + width * np.array(draw(st.lists(
+        st.floats(0.1, 0.9), min_size=n, max_size=n)))
+    for _ in range(draw(st.integers(0, 4))):
+        a = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), float)
+        if not a.any():
+            continue
+        rows.append(a[None, :])
+        bounds.append([a @ center + draw(st.floats(0.0, 10.0))])
+    return HPolytope(np.vstack(rows), np.concatenate(bounds))
+
+
+def _box_proposals(poly, seed, k=2_000):
+    box = poly.bounding_box
+    return RngStream(seed).generator().uniform(box.lower, box.upper, size=(k, poly.dim))
+
+
+@given(bounded_polytopes(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_box_rows_membership_matches_full_test(poly, seed):
+    pts = _box_proposals(poly, seed)
+    np.testing.assert_array_equal(poly.contains_box_points(pts), poly.contains_all(pts))
+
+
+@given(st.sampled_from(["box", "good", "bad"]), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_fixture_regions_box_rows(name, seed):
+    region = FIXTURE_REGIONS[name]
+    assert region.box_rows.size == {"box": 0, "good": 1, "bad": 0}[name]
+    pts = _box_proposals(region, seed)
+    np.testing.assert_array_equal(region.contains_box_points(pts),
+                                  region.contains_all(pts))
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+       st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4),
+       st.integers(min_value=1, max_value=5_000),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_pure_box_volume_exact(lower, widths, k, seed):
+    n = len(lower)
+    lo = np.array(lower, float)
+    hi = lo + np.array(widths[:n], float)
+    poly = HPolytope(np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([hi, -lo]))
+    assert poly.box_rows.size == 0
+    assert estimate_volume(poly, k, RngStream(seed)) == (poly.bounding_box.volume, 0.0)
