@@ -15,6 +15,7 @@ from probqos import (
     integrate_uniform,
     parse_region,
 )
+from probqos import learning
 from probqos.geometry import DimensionMismatchError
 from probqos.learning import LearningError
 from probqos.reference import SCHEMA, correlated_profile
@@ -126,6 +127,83 @@ class TestKDEProfile:
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
 
+def direct_log_density(obs, h, kernel, x):
+    """log f-hat at one point: a loop over observations, log-sum-exp by math.exp."""
+    if kernel == "gaussian":
+        log_k = lambda u: -0.5 * u * u - 0.5 * math.log(2.0 * math.pi)  # noqa: E731
+    else:
+        log_k = lambda u: -abs(u) - math.log(2.0)  # noqa: E731
+    terms = [sum(log_k((xj - oj) / hj) for xj, oj, hj in zip(x, o, h)) for o in obs]
+    top = max(terms)
+    total = sum(math.exp(t - top) for t in terms)
+    return top + math.log(total) - math.log(len(obs)) - sum(math.log(hj) for hj in h)
+
+
+class TestLogDensity:
+    KERNELS = ["gaussian", "exponential"]
+
+    @staticmethod
+    def profile(kernel, n, m, seed=0):
+        gen = RngStream(seed).generator()
+        scales = np.array([17.0, 170.0, 2.0])[:n]
+        obs = gen.standard_normal((m, n)) * scales + np.array([50.0, 300.0, -4.0])[:n]
+        schema = AttributeSchema(tuple("abc"[:n]))
+        return KDEProfile(schema, obs, kernel, np.array([3.0, 30.0, 0.4])[:n])
+
+    @staticmethod
+    def points(profile, k, seed=1):
+        """k points over the data's spread, the last three 10^3 bandwidths away."""
+        gen = RngStream(seed).generator()
+        obs, h = profile.observations, profile.bandwidths
+        pts = obs.mean(axis=0) + 3.0 * gen.standard_normal((k, profile.dim)) * obs.std(axis=0)
+        pts[-1] = obs.mean(axis=0) + 1e3 * h
+        pts[-2] = obs.mean(axis=0) - 1e3 * h
+        pts[-3, 0] = obs[0, 0] + 1e3 * h[0]
+        return pts
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 7, 100])
+    def test_matches_direct_sum(self, kernel, n, m, monkeypatch):
+        # 64-element blocks: m = 1 and 7 give 64 and 9 rows per block, and
+        # m = 100 exceeds a block, so each block holds a single row; 70
+        # points is a multiple of neither 64 nor 9
+        monkeypatch.setattr(learning, "_MAX_ELEMENTS", 64)
+        profile = self.profile(kernel, n, m)
+        pts = self.points(profile, 70)
+        got = profile.log_density(pts)
+        want = np.array([direct_log_density(profile.observations, profile.bandwidths,
+                                            kernel, x) for x in pts])
+        assert np.all(np.isfinite(got))
+        # 1e-10 absolute, and relative once |log f| > 1: the far Gaussian
+        # points reach log f ~ -1.5e6, where adjacent doubles are 2.3e-10 apart
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("m", [1, 7, 2049])
+    def test_row_independent_of_call(self, kernel, m):
+        profile = self.profile(kernel, 2, m)
+        pts = self.points(profile, 45)
+        if m == 2049:  # 45 points span one full and one partial block
+            assert learning._MAX_ELEMENTS // m in range(23, 45)
+        together = profile.log_density(pts)
+        alone = np.array([profile.log_density(pts[i:i + 1])[0] for i in range(len(pts))])
+        assert np.array_equal(together, alone)
+        assert np.array_equal(profile.log_density(pts[7:30]), together[7:30])
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_non_finite_points(self, kernel):
+        profile = self.profile(kernel, 2, 7)
+        inf, nan = math.inf, math.nan
+        pts = np.array([[inf, 300.0], [50.0, -inf], [-inf, inf], [nan, 300.0],
+                        [inf, nan], [50.0, 300.0]])
+        got = profile.log_density(pts)
+        assert got[:3].tolist() == [-inf, -inf, -inf]
+        assert np.isnan(got[3]) and np.isnan(got[4])
+        assert got[5] == profile.log_density(pts[5:])[0]
+        assert profile.density(pts[:3]).tolist() == [0.0, 0.0, 0.0]
+
+
 class TestBandwidthRules:
     def test_scott_formula(self):
         rs = gaussian_records(500)
@@ -195,6 +273,16 @@ class TestFitKDECV:
         assert profile.kernel in ("gaussian", "exponential")
         assert math.isfinite(profile.fit_info["cv_score"])
         assert profile.box_mass(profile.covering_box()) == pytest.approx(1.0, abs=1e-3)
+
+    def test_fixture_selection_unchanged(self, fixtures_dir):
+        # the selection on the fixture records, pinned: kernel, multiplier
+        # and held-out score
+        records = QoSRecordSet.from_csv(fixtures_dir / "records_xcorr_1000.csv")
+        profile = fit_kde_cv(records, rng=7)
+        assert profile.kernel == "gaussian"
+        assert profile.fit_info["multiplier"] == 1.0
+        assert profile.fit_info["cv_score"] == pytest.approx(-10.816974072875215,
+                                                             abs=1e-9)
 
     def test_metadata_recorded(self):
         profile = fit_kde_cv(gaussian_records(100), rng=0)
