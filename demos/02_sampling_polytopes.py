@@ -7,7 +7,7 @@ proposals adapt to the local shape of the region, so it keeps working there.
 
 import numpy as np
 
-from probqos import DikinWalkConfig, HPolytope, dikin_walk, rejection_sample
+from probqos import HPolytope, dikin_walk, rejection_sample
 
 triangle = HPolytope(
     np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
@@ -16,7 +16,7 @@ triangle = HPolytope(
 )
 
 exact = rejection_sample(triangle, 50_000, rng=0)
-walk = dikin_walk(triangle, 50_000, DikinWalkConfig(), rng=0)
+walk = dikin_walk(triangle, 50_000, rng=0)
 
 print("true mean of a uniform triangle: (1/3, 1/3) =", (1 / 3, 1 / 3))
 print("rejection mean:", exact.mean(axis=0))

@@ -27,7 +27,6 @@ from .geometry import (
     LPUnboundedError,
     UnboundedPolytopeError,
     analytic_center,
-    bounding_box,
     estimate_volume,
     solve_lp,
 )
@@ -77,7 +76,6 @@ from .requirements import (
 )
 from .rng import RngStream
 from .sampling import (
-    DikinWalkConfig,
     ThinRegionError,
     dikin_walk,
     rejection_sample,
@@ -96,7 +94,6 @@ __all__ = [
     "ConvergenceScan",
     "CorrelatedTPRT",
     "DEFAULT_SAMPLES",
-    "DikinWalkConfig",
     "DimensionMismatchError",
     "EmptyInteriorError",
     "GammaMarginal",
@@ -130,7 +127,6 @@ __all__ = [
     "analytic_center",
     "bandwidth_scott",
     "bandwidth_silverman",
-    "bounding_box",
     "convergence_scan",
     "derive_service_seed",
     "dikin_walk",

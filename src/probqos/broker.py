@@ -130,7 +130,7 @@ def _rank_key(item):
 
 def select(entries, req: QoSRequirement, k: int = DEFAULT_SAMPLES,
            seed: int = 0, mode: str = "confidence", confidence_z: float = 3.0,
-           include_indeterminate: bool = False, workers: int = 1) -> SelectionResult:
+           include_indeterminate: bool = False) -> SelectionResult:
     """Check every service and rank the satisfying ones.
 
     Ordering: verdict, then minimum decision margin across constraints
@@ -144,7 +144,7 @@ def select(entries, req: QoSRequirement, k: int = DEFAULT_SAMPLES,
     for entry in entries:
         stream = RngStream(derive_service_seed(seed, entry.service_id))
         report = qos_check(entry.profile, req, k=k, rng=stream, mode=mode,
-                           confidence_z=confidence_z, workers=workers)
+                           confidence_z=confidence_z)
         checked.append((entry.service_id, report))
     checked.sort(key=_rank_key)
     keep = {"satisfied"} | ({"indeterminate"} if include_indeterminate else set())

@@ -82,9 +82,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="confidence", help="boundary decision semantics")
     parser.add_argument("--z", type=float, default=3.0,
                         help="confidence band half-width in standard errors")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="re-split the Monte Carlo draws into N substreams; "
-                             "changes the estimates, not the speed")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
 
@@ -93,7 +90,7 @@ def _cmd_check(args) -> int:
     profile = load_profile(args.profile)
     req = _read_requirement(args.requirement, profile.schema)
     report = qos_check(profile, req, k=args.samples, rng=RngStream(args.seed),
-                       mode=args.mode, confidence_z=args.z, workers=args.workers)
+                       mode=args.mode, confidence_z=args.z)
     _emit(report.to_dict())
     return _VERDICT_EXIT[report.verdict]
 
@@ -103,8 +100,7 @@ def _cmd_select(args) -> int:
     req = _read_requirement(args.requirement, entries[0].profile.schema)
     result = select(entries, req, k=args.samples, seed=args.seed, mode=args.mode,
                     confidence_z=args.z,
-                    include_indeterminate=args.include_indeterminate,
-                    workers=args.workers)
+                    include_indeterminate=args.include_indeterminate)
     _emit(result.to_dict())
     satisfied = any(rep.verdict == "satisfied" for _, rep in result.ranked)
     return EXIT_SATISFIED if satisfied else EXIT_VIOLATED
@@ -158,8 +154,7 @@ def _cmd_integrate(args) -> int:
                 print(f"k={k:>10d}  mean |error| = {e:.3e}")
             print(f"log-log slope: {scan.slope:+.3f}")
         return EXIT_SATISFIED
-    est = integrate_uniform(profile, region, args.samples, RngStream(args.seed),
-                            workers=args.workers)
+    est = integrate_uniform(profile, region, args.samples, RngStream(args.seed))
     if args.json:
         _emit({"estimate": est.value, "std_error": est.std_error, "k": est.k,
                "method": est.method, "volume_used": est.volume_used})
@@ -174,8 +169,7 @@ def _cmd_volume(args) -> int:
 
     names = tuple(name.strip() for name in args.attributes.split(","))
     region = parse_region(args.region, AttributeSchema(names))
-    volume, se = estimate_volume(region, args.samples, RngStream(args.seed),
-                                 workers=args.workers)
+    volume, se = estimate_volume(region, args.samples, RngStream(args.seed))
     if args.json:
         _emit({"volume": volume, "std_error": se, "k": args.samples})
     else:

@@ -3,8 +3,8 @@
 A region is an H-polytope {x : A x <= b}. Construction verifies boundedness
 by solving 2n linear programs (one per axis direction); the same LP kernel
 supplies interior points and the bounding box used for rejection sampling.
-`box_pass` is the one loop over uniform box proposals: the volume estimate,
-rejection-regime integration and their worker split all go through it.
+`box_pass` is the one loop over uniform box proposals: the volume estimate
+and rejection-regime integration both go through it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .rng import RngStream, as_stream
 
 PIVOT_TOL = 1e-9
 BARRIER_GRAD_TOL = 1e-8
+BARRIER_MAX_ITER = 200
 
 _CHUNK = 262_144
 
@@ -204,7 +205,7 @@ class HPolytope:
     """Bounded region {x : A x <= b} with named coordinates.
 
     Unbounded or infeasible systems are rejected at construction: the
-    bounding box is computed via 2n LP solves and must succeed in every
+    `bounding_box` is computed via 2n LP solves and must succeed in every
     direction. `box_rows` lists the rows the bounding box does not imply;
     they are the only ones a box proposal is tested against.
     """
@@ -234,11 +235,10 @@ class HPolytope:
         self.constraint_matrix = A
         self.bounds = b
         self.attribute_names = names
-        self._box = self._compute_bounding_box()
+        self.bounding_box = box = self._compute_bounding_box()
         # Row j holds on the whole box when its maximum there,
         # sum_i max(a_ji * lower_i, a_ji * upper_i), is at most b_j; box
         # proposals are tested against the other rows only.
-        box = self._box
         row_max = np.maximum(A * box.lower, A * box.upper).sum(axis=1)
         rows = np.flatnonzero(row_max > b)
         rows.flags.writeable = False
@@ -253,10 +253,6 @@ class HPolytope:
     @property
     def num_constraints(self) -> int:
         return self.constraint_matrix.shape[0]
-
-    @property
-    def bounding_box(self) -> Box:
-        return self._box
 
     def _compute_bounding_box(self) -> Box:
         n = self.dim
@@ -339,11 +335,6 @@ def solve_lp(objective, poly: HPolytope, sense: str = "min"):
     return _lp_min(c, poly.constraint_matrix, poly.bounds)
 
 
-def bounding_box(poly: HPolytope) -> Box:
-    """Tight axis-aligned enclosure, from 2n LP solves (cached at construction)."""
-    return poly.bounding_box
-
-
 def _chebyshev_center(A: np.ndarray, b: np.ndarray):
     norms = np.linalg.norm(A, axis=1)
     A_ext = np.hstack([A, norms[:, None]])
@@ -353,18 +344,17 @@ def _chebyshev_center(A: np.ndarray, b: np.ndarray):
     return x[:-1], x[-1]
 
 
-def analytic_center(poly: HPolytope, grad_tol: float = BARRIER_GRAD_TOL,
-                    max_iter: int = 200) -> np.ndarray:
+def analytic_center(poly: HPolytope) -> np.ndarray:
     """Minimizer of the log-barrier -sum_j log(b_j - a_j.x), by damped Newton."""
     A = poly.constraint_matrix
     b = poly.bounds
     x, radius = _chebyshev_center(A, b)
     if radius <= 1e-10:
         raise EmptyInteriorError("polytope has empty interior")
-    for _ in range(max_iter):
+    for _ in range(BARRIER_MAX_ITER):
         s = b - A @ x
         g = A.T @ (1.0 / s)
-        if np.linalg.norm(g) <= grad_tol:
+        if np.linalg.norm(g) <= BARRIER_GRAD_TOL:
             return x
         W = A / s[:, None]
         H = W.T @ W
@@ -389,23 +379,17 @@ def analytic_center(poly: HPolytope, grad_tol: float = BARRIER_GRAD_TOL,
     raise GeometryError("analytic center did not converge")
 
 
-def box_pass(poly: HPolytope, k: int, rng: "int | RngStream", workers: int = 1,
-             keep_hits: bool = False):
+def box_pass(poly: HPolytope, k: int, rng: "int | RngStream", keep_hits: bool = False):
     """Draw k uniform bounding-box proposals once and test them for membership.
 
-    Worker w draws its share of k (the first k % workers workers take one
-    extra) from rng.substream(w), in chunks of at most 262,144 points; the
-    split changes the draws, not the speed. Only the rows in
-    `poly.box_rows` are tested. Returns (hits, points): the number of
-    proposals inside the polytope, and the accepted proposals in draw order
-    as an (hits, n) array when `keep_hits`, else None. A box of zero volume
-    draws nothing and reports no hits.
+    The proposals come from rng.substream(0), in chunks of at most 262,144
+    points. Only the rows in `poly.box_rows` are tested. Returns (hits,
+    points): the number of proposals inside the polytope, and the accepted
+    proposals in draw order as an (hits, n) array when `keep_hits`, else
+    None. A box of zero volume draws nothing and reports no hits.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    stream = as_stream(rng)
     box = poly.bounding_box
     n = poly.dim
     if box.volume == 0.0:
@@ -413,27 +397,23 @@ def box_pass(poly: HPolytope, k: int, rng: "int | RngStream", workers: int = 1,
         return 0, (np.empty((0, n)) if keep_hits else None)
     width = box.upper - box.lower
     test_rows = poly.box_rows.size > 0
+    gen = as_stream(rng).substream(0).generator()
     kept = []
     hits = 0
-    for w in range(workers):
-        kw = k // workers + (1 if w < k % workers else 0)
-        if kw == 0:
-            continue
-        gen = stream.substream(w).generator()
-        done = 0
-        while done < kw:
-            c = min(_CHUNK, kw - done)
-            # the draws of gen.uniform(lower, upper), bit for bit, without
-            # its broadcasting overhead
-            pts = gen.random((c, n))
-            pts *= width
-            pts += box.lower
-            if test_rows:
-                pts = pts.compress(poly.contains_box_points(pts), axis=0)
-            hits += pts.shape[0]
-            if keep_hits:
-                kept.append(pts)
-            done += c
+    done = 0
+    while done < k:
+        c = min(_CHUNK, k - done)
+        # the draws of gen.uniform(lower, upper), bit for bit, without its
+        # broadcasting overhead
+        pts = gen.random((c, n))
+        pts *= width
+        pts += box.lower
+        if test_rows:
+            pts = pts.compress(poly.contains_box_points(pts), axis=0)
+        hits += pts.shape[0]
+        if keep_hits:
+            kept.append(pts)
+        done += c
     if not keep_hits:
         return hits, None
     return hits, (kept[0] if len(kept) == 1 else np.concatenate(kept))
@@ -446,13 +426,12 @@ def volume_from_hits(box_volume: float, hits: int, k: int):
     return float(box_volume * p), float(box_volume * np.sqrt(p * (1.0 - p) / k))
 
 
-def estimate_volume(poly: HPolytope, k: int, rng_seed: "int | RngStream",
-                    workers: int = 1):
+def estimate_volume(poly: HPolytope, k: int, rng_seed: "int | RngStream"):
     """Rejection volume estimate from one `box_pass` of k proposals.
 
     Returns (volume, std_error): volume = Vol(box) * hits/k, std_error the
     binomial-proportion standard error scaled by the box volume. A box
     keeps no rows to test, so it gets (Vol(box), 0.0) exactly.
     """
-    hits, _ = box_pass(poly, k, rng_seed, workers)
+    hits, _ = box_pass(poly, k, rng_seed)
     return volume_from_hits(poly.bounding_box.volume, hits, k)

@@ -12,7 +12,7 @@ at the dimension-independent 1/sqrt(k) rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .profiles import QoSProfile
 from .rng import RngStream, as_stream
 from .sampling import (
     REJECTION_ACCEPTANCE_THRESHOLD,
-    DikinWalkConfig,
     dikin_walk,
     rejection_sample,  # noqa: F401  (looked up here by perfbench/tracing.py)
 )
@@ -67,9 +66,7 @@ def _box_mean(profile: QoSProfile, points: np.ndarray, k: int, box_volume: float
 
 
 def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
-                      rng: "RngStream | int",
-                      walk_config: DikinWalkConfig | None = None,
-                      workers: int = 1) -> IntegralEstimate:
+                      rng: "RngStream | int") -> IntegralEstimate:
     """Estimate the integral of the profile density over the region as V * mean(f).
 
     One `box_pass` of k bounding-box proposals on rng.substream(0) gives the
@@ -87,7 +84,7 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
         raise ValueError("k must be >= 2")
     _check_schema(profile, region)
     stream = as_stream(rng)
-    hits, points = box_pass(region, k, stream.substream(0), workers, keep_hits=True)
+    hits, points = box_pass(region, k, stream.substream(0), keep_hits=True)
     vbox = region.bounding_box.volume
     volume, volume_se = volume_from_hits(vbox, hits, k)
     if volume == 0.0:
@@ -95,7 +92,7 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
     if hits / k >= REJECTION_ACCEPTANCE_THRESHOLD:
         value, std_error = _box_mean(profile, points, k, vbox)
         return IntegralEstimate(value, std_error, k, "uniform-polytope", volume)
-    points = dikin_walk(region, k, walk_config or DikinWalkConfig(), stream.substream(1))
+    points = dikin_walk(region, k, stream.substream(1))
     f = profile.density(points)
     mean_f = float(f.mean())
     var_f = float(f.var(ddof=1))
@@ -106,15 +103,14 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
 
 
 def integrate_rejection_box(profile: QoSProfile, region: HPolytope, k: int,
-                            rng: "RngStream | int",
-                            workers: int = 1) -> IntegralEstimate:
+                            rng: "RngStream | int") -> IntegralEstimate:
     """Vol(box) * mean(f * 1_R) over one `box_pass` of k proposals on rng,
     whatever the acceptance: the estimator `integrate_uniform` uses above
     the rejection threshold, drawn on a different substream."""
     if k < 2:
         raise ValueError("k must be >= 2")
     _check_schema(profile, region)
-    _, points = box_pass(region, k, rng, workers, keep_hits=True)
+    _, points = box_pass(region, k, rng, keep_hits=True)
     value, std_error = _box_mean(profile, points, k, region.bounding_box.volume)
     return IntegralEstimate(value, std_error, k, "rejection-box", None)
 
@@ -128,9 +124,10 @@ class ConvergenceScan:
 
 
 def convergence_scan(profile: QoSProfile, region: HPolytope,
-                     ks: Sequence[int], seeds: Sequence[int], truth: float,
-                     estimator: Callable = integrate_uniform) -> ConvergenceScan:
-    """Empirical 1/sqrt(k) convergence check against a supplied truth value."""
+                     ks: Sequence[int], seeds: Sequence[int],
+                     truth: float) -> ConvergenceScan:
+    """Empirical 1/sqrt(k) convergence of `integrate_uniform` against a
+    supplied truth value."""
     ks = sorted(set(int(k) for k in ks))
     if len(ks) < 3:
         raise ValueError("need at least 3 distinct k values")
@@ -138,7 +135,7 @@ def convergence_scan(profile: QoSProfile, region: HPolytope,
         raise ValueError("need at least one seed")
     rows = []
     for k in ks:
-        errs = [abs(estimator(profile, region, k, RngStream(int(s))).value - truth)
+        errs = [abs(integrate_uniform(profile, region, k, RngStream(int(s))).value - truth)
                 for s in seeds]
         rows.append((k, float(np.mean(errs))))
     maes = np.array([r[1] for r in rows])

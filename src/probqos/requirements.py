@@ -459,7 +459,7 @@ def _decide(estimate: float, std_error: float, c: QoSConstraint, z: float,
 
 def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
                         rng: "RngStream | int", confidence_z: float = 3.0,
-                        mode: str = "confidence", workers: int = 1):
+                        mode: str = "confidence"):
     """Integrate the region probability and compare it with the bounds.
 
     Returns (truth, estimate, std_error); truth is None when the confidence
@@ -470,7 +470,7 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
     if constraint.p_min == 0.0 and constraint.p_max == 1.0:
         # vacuous bounds need no integration
         return True, None, None
-    est = integrate_uniform(profile, constraint.region, k, rng, workers=workers)
+    est = integrate_uniform(profile, constraint.region, k, rng)
     truth = _decide(est.value, est.std_error, constraint, confidence_z, mode)
     return truth, est.value, est.std_error
 
@@ -483,7 +483,7 @@ def _margin(estimate: float, std_error: float, c: QoSConstraint,
 
 def qos_check(profile: QoSProfile, req: QoSRequirement, k: int = DEFAULT_SAMPLES,
               rng: "RngStream | int" = 0, mode: str = "confidence",
-              confidence_z: float = 3.0, workers: int = 1) -> CheckReport:
+              confidence_z: float = 3.0) -> CheckReport:
     """Decision procedure: abstract, integrate each constraint once, then SAT.
 
     Each distinct constraint becomes a fresh variable whose truth value is
@@ -503,8 +503,7 @@ def qos_check(profile: QoSProfile, req: QoSRequirement, k: int = DEFAULT_SAMPLES
     undecided: list = []
     for idx, (var, constraint) in enumerate(ordered):
         truth, est, se = evaluate_constraint(
-            constraint, profile, k, stream.substream(idx), confidence_z, mode,
-            workers=workers)
+            constraint, profile, k, stream.substream(idx), confidence_z, mode)
         if est is None:
             est, se = 1.0, 0.0  # vacuous bounds: probability is trivially inside
         margin = _margin(est, se, constraint, confidence_z if mode == "confidence" else 0.0)

@@ -2,14 +2,16 @@
 
 Two samplers: exact i.i.d. rejection sampling from the bounding box, and a
 Dikin-walk Markov chain for regions too thin for rejection to be practical.
-The integrator picks between them based on the box acceptance rate.
+The integrator takes its region sample from the hits of its own box pass
+when the box acceptance is at least REJECTION_ACCEPTANCE_THRESHOLD, and
+from the Dikin walk below it; `rejection_sample` is the exact i.i.d.
+reference that the walk is checked against.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,31 +25,17 @@ MAX_CONSECUTIVE_REJECTS = 1_000_000
 # Rejection sampling is used above this box acceptance rate, the walk below.
 REJECTION_ACCEPTANCE_THRESHOLD = 0.05
 
+# Dikin walk: steps discarded before the first emitted state, steps between
+# emitted states, and the proposal radius times sqrt(n). The Metropolis
+# correction keeps the chain exact for any radius; this radius/thinning pair
+# keeps the thinned chain's autocorrelation time small on desk-scale regions.
+DIKIN_BURN_IN = 1000
+DIKIN_THINNING = 10
+DIKIN_RADIUS_SQRT_N = 1.5
+
 
 class ThinRegionError(Exception):
     """Rejection sampling gave up; use the Dikin walk or reformulate the region."""
-
-
-@dataclass(frozen=True)
-class DikinWalkConfig:
-    """Free parameters of the walk. radius=None means 1.5/sqrt(n).
-
-    The Metropolis correction keeps the chain exact for any radius; the
-    default radius/thinning pair is tuned so the thinned chain's
-    autocorrelation time stays small on desk-scale regions.
-    """
-
-    radius: float | None = None
-    burn_in: int = 1000
-    thinning: int = 10
-
-    def __post_init__(self):
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
 
 
 def rejection_sample(poly: HPolytope, k: int, rng: "RngStream | int") -> np.ndarray:
@@ -97,27 +85,26 @@ def _barrier_cholesky(A: np.ndarray, b: np.ndarray, x: np.ndarray):
     return L, logdet
 
 
-def dikin_walk(poly: HPolytope, k: int, config: DikinWalkConfig | None = None,
-               rng: "RngStream | int" = 0, start: np.ndarray | None = None) -> np.ndarray:
+def dikin_walk(poly: HPolytope, k: int, rng: "RngStream | int" = 0) -> np.ndarray:
     """k approximately-uniform points from a Dikin-walk Markov chain.
 
     From state x, propose y uniform in the ellipsoid
     {y : (y-x)^T H(x) (y-x) <= r^2} with H the log-barrier Hessian; accept
     with the Metropolis ratio sqrt(det H(y) / det H(x)) provided y is strictly
-    interior and the reverse ellipsoid contains x. Emits every `thinning`-th
-    state after `burn_in` steps. Numerical boundary failures restart the
-    chain from the analytic center (counted, logged).
+    interior and the reverse ellipsoid contains x, with r = 1.5/sqrt(n).
+    Starts at the analytic center and emits every DIKIN_THINNING-th state
+    after DIKIN_BURN_IN steps. Numerical boundary failures restart the chain
+    from the analytic center (counted, logged).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    cfg = config or DikinWalkConfig()
     n = poly.dim
-    radius = cfg.radius if cfg.radius is not None else 1.5 / math.sqrt(n)
+    radius = DIKIN_RADIUS_SQRT_N / math.sqrt(n)
     gen = as_stream(rng).generator()
     A = poly.constraint_matrix
     b = poly.bounds
 
-    center = analytic_center(poly) if start is None else np.asarray(start, dtype=float)
+    center = analytic_center(poly)
     x = center.copy()
     L, logdet = _barrier_cholesky(A, b, x)
 
@@ -125,7 +112,7 @@ def dikin_walk(poly: HPolytope, k: int, config: DikinWalkConfig | None = None,
     got = 0
     step = 0
     restarts = 0
-    total_steps = cfg.burn_in + k * cfg.thinning
+    total_steps = DIKIN_BURN_IN + k * DIKIN_THINNING
     inv_n = 1.0 / n
     while step < total_steps:
         u = gen.standard_normal(n)
@@ -150,7 +137,7 @@ def dikin_walk(poly: HPolytope, k: int, config: DikinWalkConfig | None = None,
             x = center.copy()
             L, logdet = _barrier_cholesky(A, b, x)
         step += 1
-        if step > cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == 0:
+        if step > DIKIN_BURN_IN and (step - DIKIN_BURN_IN) % DIKIN_THINNING == 0:
             out[got] = x
             got += 1
     if restarts:

@@ -6,7 +6,6 @@ from probqos import (
     HPolytope,
     analytic_center,
     RngStream,
-    bounding_box,
     estimate_volume,
     solve_lp,
 )
@@ -73,7 +72,7 @@ class TestBox:
 
 class TestHPolytope:
     def test_bounding_box_square(self, unit_square):
-        box = bounding_box(unit_square)
+        box = unit_square.bounding_box
         np.testing.assert_allclose(box.lower, [0.0, 0.0], atol=1e-9)
         np.testing.assert_allclose(box.upper, [1.0, 1.0], atol=1e-9)
 
@@ -154,11 +153,6 @@ class TestVolume:
         b = estimate_volume(triangle, 50_000, rng_seed=11)
         assert a == b
 
-    def test_workers_deterministic(self, triangle):
-        a = estimate_volume(triangle, 50_000, rng_seed=11, workers=4)
-        b = estimate_volume(triangle, 50_000, rng_seed=11, workers=4)
-        assert a == b
-
 
 class TestBoxPass:
     def test_box_rows(self, unit_square, triangle):
@@ -167,18 +161,15 @@ class TestBoxPass:
 
     def test_kept_points_are_the_hits(self, triangle):
         stream = RngStream(7)
-        hits, pts = box_pass(triangle, 10_000, stream, workers=3, keep_hits=True)
-        # reference: gen.uniform draws per worker substream, full membership test
+        hits, pts = box_pass(triangle, 10_000, stream, keep_hits=True)
+        # reference: gen.uniform draws on substream 0, full membership test
         box = triangle.bounding_box
-        ref = np.concatenate([
-            stream.substream(w).generator().uniform(box.lower, box.upper, size=(kw, 2))
-            for w, kw in enumerate((3_334, 3_333, 3_333))])
+        ref = stream.substream(0).generator().uniform(box.lower, box.upper,
+                                                      size=(10_000, 2))
         np.testing.assert_array_equal(pts, ref[triangle.contains_all(ref)])
-        volume, _ = estimate_volume(triangle, 10_000, stream, workers=3)
+        volume, _ = estimate_volume(triangle, 10_000, stream)
         assert volume == box.volume * (hits / 10_000)
 
     def test_validation(self, triangle):
         with pytest.raises(ValueError):
             box_pass(triangle, 0, RngStream(0))
-        with pytest.raises(ValueError):
-            box_pass(triangle, 10, RngStream(0), workers=0)

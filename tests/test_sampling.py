@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from probqos import DikinWalkConfig, HPolytope, RngStream, dikin_walk, rejection_sample
+from probqos import HPolytope, RngStream, dikin_walk, rejection_sample
 from probqos.sampling import ThinRegionError
 
 
@@ -51,8 +51,8 @@ class TestDikinWalk:
         assert triangle.contains_all(pts).all()
 
     def test_deterministic(self, triangle):
-        a = dikin_walk(triangle, 500, DikinWalkConfig(), rng=RngStream(9))
-        b = dikin_walk(triangle, 500, DikinWalkConfig(), rng=RngStream(9))
+        a = dikin_walk(triangle, 500, rng=RngStream(9))
+        b = dikin_walk(triangle, 500, rng=RngStream(9))
         np.testing.assert_array_equal(a, b)
 
     def test_strictly_interior(self, triangle):
@@ -71,15 +71,3 @@ class TestDikinWalk:
         pts = dikin_walk(thin_slab(1e-4), 2_000, rng=0)
         assert thin_slab(1e-4).contains_all(pts).all()
         assert abs(pts.mean()) < 0.2
-
-    def test_custom_start(self, unit_square):
-        pts = dikin_walk(unit_square, 100, rng=0, start=np.array([0.9, 0.9]))
-        assert unit_square.contains_all(pts).all()
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DikinWalkConfig(radius=-1.0)
-        with pytest.raises(ValueError):
-            DikinWalkConfig(thinning=0)
-        with pytest.raises(ValueError):
-            DikinWalkConfig(burn_in=-1)
