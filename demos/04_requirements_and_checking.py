@@ -5,12 +5,13 @@ A requirement like
     P[region] in [0.6, _] && P[other] in [_, 0.3]
 
 demands the profile put at least 60% of its mass in one region and at most
-30% in another. Checking abstracts each constraint into a propositional
-variable, estimates its probability once, and hands the Boolean structure to
-a SAT solver; free propositional variables get a witness valuation.
+30% in another. Checking estimates each constraint's probability once,
+substitutes the resulting truth values into the formula, and hands what
+remains to a SAT solver; free propositional variables get a witness
+valuation.
 """
 
-from probqos import abstract, parse_requirement, qos_check
+from probqos import parse_requirement, qos_check
 from probqos.reference import (
     REQ_CONJUNCTION_TEXT,
     REQ_TWO_SCENARIO_TEXT,
@@ -21,14 +22,10 @@ from probqos.reference import (
 )
 
 req = parse_requirement(REQ_CONJUNCTION_TEXT, SCHEMA)
-amap = abstract(req)
-print("abstraction bindings:")
-for var, constraint in amap.bindings.items():
-    print(f"  {var}: P in [{constraint.p_min}, {constraint.p_max}]")
 
 # The correlated service is mostly mediocre: the "good" constraint fails.
 report = qos_check(correlated_profile(), req, k=100_000, rng=0)
-print("\ncorrelated service vs conjunction:", report.verdict)
+print("correlated service vs conjunction:", report.verdict)
 for row in report.constraint_table:
     print(f"  {row.variable}: estimate {row.estimate:.4f} +/- {row.std_error:.4f} "
           f"in [{row.p_min}, {row.p_max}] -> {row.truth}")

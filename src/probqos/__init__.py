@@ -62,13 +62,10 @@ from .profiles import (
 )
 from .reqast import QoSConstraint, RequirementError
 from .requirements import (
-    AbstractionMap,
     CheckReport,
     ConstraintResult,
     QoSRequirement,
     RequirementSyntaxError,
-    abstract,
-    dpll_sat,
     evaluate_constraint,
     parse_region,
     parse_requirement,
@@ -80,12 +77,12 @@ from .sampling import (
     dikin_walk,
     rejection_sample,
 )
+from .sat import dpll_sat
 from .serialize import SerializationError, load_profile, profile_from_dict, profile_to_dict, save_profile
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbstractionMap",
     "AttributeSchema",
     "Box",
     "BrokerError",
@@ -123,7 +120,6 @@ __all__ = [
     "UnboundedPolytopeError",
     "UniformBox",
     "UnsupportedProfileError",
-    "abstract",
     "analytic_center",
     "bandwidth_scott",
     "bandwidth_silverman",

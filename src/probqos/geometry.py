@@ -299,9 +299,6 @@ class HPolytope:
         """
         return np.all(points @ self._box_A.T <= self._box_b, axis=1)
 
-    def slacks(self, point) -> np.ndarray:
-        return self.bounds - self.constraint_matrix @ np.asarray(point, dtype=float)
-
     def structural_key(self):
         """Hashable identity used to deduplicate structurally equal regions."""
         return (

@@ -41,9 +41,6 @@ class IntegralEstimate:
     method: str  # "uniform-polytope" | "rejection-box"
     volume_used: float | None
 
-    def confidence_interval(self, z: float = 3.0):
-        return (self.value - z * self.std_error, self.value + z * self.std_error)
-
 
 def _check_schema(profile: QoSProfile, region: HPolytope) -> None:
     if region.attribute_names != profile.schema.names:

@@ -263,9 +263,9 @@ class KDEProfile(QoSProfile):
         per_axis = kernel_cdf(upper) - kernel_cdf(lower)
         return float(np.mean(np.prod(per_axis, axis=1)))
 
-    def covering_box(self, padding_bandwidths: float = 10.0) -> Box:
-        """Axis-aligned box holding all observations, padded in bandwidth units."""
-        pad = padding_bandwidths * self.bandwidths
+    def covering_box(self) -> Box:
+        """Axis-aligned box holding all observations, padded by 10 bandwidths."""
+        pad = 10.0 * self.bandwidths
         return Box(self.observations.min(axis=0) - pad,
                    self.observations.max(axis=0) + pad)
 

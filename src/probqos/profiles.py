@@ -219,26 +219,20 @@ class CorrelatedTPRT(QoSProfile):
         return out
 
     def sample(self, k, rng):
-        points, _ = self.sample_detailed(k, rng)
-        return points
-
-    def sample_detailed(self, k, rng):
-        """Ancestral sampling; returns (points, redraw_count)."""
+        """Ancestral sampling: TP (redrawn where the shape is nonpositive), then RT."""
         if k < 1:
             raise ValueError("k must be >= 1")
         gen = as_stream(rng).generator()
         x1 = np.empty(k)
         got = 0
-        redraws = 0
         while got < k:
             draw = self._tp.sample(gen, k - got)
             keep = draw[self._conditional_shape(draw) > 0]
-            redraws += (k - got) - keep.shape[0]
             x1[got:got + keep.shape[0]] = keep
             got += keep.shape[0]
         shape2 = self._conditional_shape(x1)
         x2 = gen.gamma(shape2) / self.beta
-        return np.column_stack([x1, x2]), redraws
+        return np.column_stack([x1, x2])
 
 
 class UniformBox(QoSProfile):

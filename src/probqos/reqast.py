@@ -32,7 +32,7 @@ class QoSConstraint:
             )
 
     def structural_key(self):
-        """Identity under which duplicate constraints share one abstraction variable."""
+        """Identity under which duplicate constraints share one truth value."""
         return (self.region.structural_key(), self.p_min, self.p_max)
 
 
@@ -89,8 +89,8 @@ def evaluate(node: Node, valuation: dict, constraint_truth) -> bool:
     """Ground truth of the formula under a propositional valuation.
 
     constraint_truth maps a QoSConstraint's structural key to its truth
-    value; used by the brute-force entailment oracle and the decision
-    procedure's verdict enumeration.
+    value, as in `sat.dpll_sat`; used as the brute-force entailment oracle
+    in the tests.
     """
     if isinstance(node, Top):
         return True

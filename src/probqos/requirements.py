@@ -1,15 +1,16 @@
 """Requirement language and decision procedure.
 
 Parses textual requirements (Boolean combinations of probability-bound
-constraints over linear-inequality regions), abstracts constraints into
-fresh propositional variables, evaluates each constraint by Monte Carlo
-integration, and settles the Boolean structure with the DPLL solver.
+constraints over linear-inequality regions), evaluates each distinct
+constraint once by Monte Carlo integration, substitutes the truth values
+into the formula and settles what remains with the DPLL solver.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .reqast import (
     RequirementError,
     Top,
     and_,
+    collect_constraints,
     iff,
     implies,
 )
@@ -35,19 +37,14 @@ from .rng import RngStream, as_stream
 
 __all__ = [
     "QoSRequirement",
-    "AbstractionMap",
     "CheckReport",
     "ConstraintResult",
     "RequirementSyntaxError",
     "parse_requirement",
     "parse_region",
-    "abstract",
     "evaluate_constraint",
-    "dpll_sat",
     "qos_check",
 ]
-
-dpll_sat = sat.dpll_sat
 
 
 class RequirementSyntaxError(RequirementError):
@@ -181,7 +178,7 @@ class _Parser:
                 self.next()
                 return Bottom()
             if tok.text == "P" and self.tokens[self.i + 1].text == "[":
-                return self.parse_constraint()
+                return _parse_constraint(self)
             self.next()
             if tok.text in _KEYWORDS:
                 raise RequirementSyntaxError(
@@ -192,9 +189,6 @@ class _Parser:
             self.seen_vars.add(tok.text)
             return PropVar(tok.text)
         raise RequirementSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
-
-    def parse_constraint(self) -> Node:
-        return _parse_constraint(self)
 
 
 # ---------------------------------------------------------------------------
@@ -352,44 +346,6 @@ def parse_region(text: str, schema: AttributeSchema) -> HPolytope:
 
 
 # ---------------------------------------------------------------------------
-# Propositional abstraction (fresh variable per distinct constraint)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AbstractionMap:
-    """Constraint-free formula plus bindings from fresh vars to constraints."""
-
-    formula: Node
-    bindings: dict  # fresh variable name -> QoSConstraint
-
-
-_FRESH_PREFIX = "$c"  # '$' is not a lexable ident character, so never clashes
-
-
-def abstract(req: "QoSRequirement | Node") -> AbstractionMap:
-    """Replace each distinct constraint with a fresh propositional variable."""
-    root = req.root if isinstance(req, QoSRequirement) else req
-    names: dict = {}
-    bindings: dict = {}
-
-    def walk(node: Node) -> Node:
-        if isinstance(node, Constraint):
-            key = node.constraint.structural_key()
-            if key not in names:
-                fresh = f"{_FRESH_PREFIX}{len(names) + 1}"
-                names[key] = fresh
-                bindings[fresh] = node.constraint
-            return PropVar(names[key])
-        if isinstance(node, Not):
-            return Not(walk(node.child))
-        if isinstance(node, Or):
-            return Or(walk(node.left), walk(node.right))
-        return node
-
-    return AbstractionMap(formula=walk(root), bindings=bindings)
-
-
-# ---------------------------------------------------------------------------
 # Constraint evaluation and the decision procedure
 # ---------------------------------------------------------------------------
 
@@ -463,13 +419,13 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
     """Integrate the region probability and compare it with the bounds.
 
     Returns (truth, estimate, std_error); truth is None when the confidence
-    interval straddles a bound (confidence mode only).
+    interval straddles a bound (confidence mode only). Vacuous [0, 1] bounds
+    need no integration and give (True, 1.0, 0.0).
     """
     if mode not in ("strict", "confidence"):
         raise ValueError("mode must be 'strict' or 'confidence'")
     if constraint.p_min == 0.0 and constraint.p_max == 1.0:
-        # vacuous bounds need no integration
-        return True, None, None
+        return True, 1.0, 0.0
     est = integrate_uniform(profile, constraint.region, k, rng)
     truth = _decide(est.value, est.std_error, constraint, confidence_z, mode)
     return truth, est.value, est.std_error
@@ -484,64 +440,46 @@ def _margin(estimate: float, std_error: float, c: QoSConstraint,
 def qos_check(profile: QoSProfile, req: QoSRequirement, k: int = DEFAULT_SAMPLES,
               rng: "RngStream | int" = 0, mode: str = "confidence",
               confidence_z: float = 3.0) -> CheckReport:
-    """Decision procedure: abstract, integrate each constraint once, then SAT.
+    """Decision procedure: integrate each constraint once, substitute, then SAT.
 
-    Each distinct constraint becomes a fresh variable whose truth value is
-    pinned by a unit conjunct; satisfaction then reduces to satisfiability
-    over the requirement's free propositional variables. In confidence mode
-    the verdict is "indeterminate" when some constraint's interval straddles
-    a bound and flipping such constraints changes the SAT outcome.
+    Each distinct constraint, in first-occurrence order, is integrated on
+    its own substream and reported as ``$c1``, ``$c2``, ... Its truth value
+    replaces it in the formula, and satisfaction then reduces to
+    satisfiability over the requirement's free propositional variables. In
+    confidence mode a constraint whose interval straddles a bound counts at
+    its point truth (estimate within the bounds), and the verdict is
+    "indeterminate" when some other truth assignment of such constraints
+    changes the SAT outcome.
     """
     if mode not in ("strict", "confidence"):
         raise ValueError("mode must be 'strict' or 'confidence'")
     stream = as_stream(rng)
-    amap = abstract(req)
-    ordered = sorted(amap.bindings.items(), key=lambda kv: int(kv[0][len(_FRESH_PREFIX):]))
+    z = confidence_z if mode == "confidence" else 0.0
 
     table = []
-    decided: dict = {}
+    truths: dict = {}
     undecided: list = []
-    for idx, (var, constraint) in enumerate(ordered):
+    for idx, constraint in enumerate(collect_constraints(req.root)):
         truth, est, se = evaluate_constraint(
             constraint, profile, k, stream.substream(idx), confidence_z, mode)
-        if est is None:
-            est, se = 1.0, 0.0  # vacuous bounds: probability is trivially inside
-        margin = _margin(est, se, constraint, confidence_z if mode == "confidence" else 0.0)
+        var = f"$c{idx + 1}"  # '$' is not a lexable ident character, so never clashes
         table.append(ConstraintResult(var, constraint.label, constraint.p_min,
-                                      constraint.p_max, est, se, truth, margin))
+                                      constraint.p_max, est, se, truth,
+                                      _margin(est, se, constraint, z)))
+        key = constraint.structural_key()
         if truth is None:
-            undecided.append(var)
-        else:
-            decided[var] = truth
+            undecided.append(key)
+            truth = constraint.p_min <= est <= constraint.p_max
+        truths[key] = truth
 
-    def sat_outcome(assignment: dict):
-        formula = amap.formula
-        for var, value in assignment.items():
-            unit = PropVar(var) if value else Not(PropVar(var))
-            formula = and_(formula, unit)
-        return sat.dpll_sat(formula)
-
-    point_truths = {
-        row.variable: (row.truth if row.truth is not None
-                       else row.p_min <= row.estimate <= row.p_max)
-        for row in table
-    }
-
-    if undecided:
-        outcomes = set()
-        for mask in range(1 << len(undecided)):
-            assignment = dict(point_truths)
-            for j, var in enumerate(undecided):
-                assignment[var] = bool(mask >> j & 1)
-            outcomes.add(sat_outcome(assignment)[0])
-            if len(outcomes) == 2:
-                break
-        if len(outcomes) == 2:
+    satisfiable, model = sat.dpll_sat(req.root, truths)
+    flips = itertools.product((False, True), repeat=len(undecided)) if undecided else ()
+    for values in flips:
+        flipped = {**truths, **dict(zip(undecided, values))}
+        if sat.dpll_sat(req.root, flipped)[0] != satisfiable:
             return CheckReport("indeterminate", None, tuple(table), mode, k,
                                confidence_z)
-
-    satisfiable, model = sat_outcome(point_truths)
     if not satisfiable:
         return CheckReport("violated", None, tuple(table), mode, k, confidence_z)
-    witness = {name: bool(model.get(name, True)) for name in req.prop_vars}
+    witness = {name: model.get(name, True) for name in req.prop_vars}
     return CheckReport("satisfied", witness, tuple(table), mode, k, confidence_z)

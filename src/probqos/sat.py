@@ -1,29 +1,37 @@
 """Propositional satisfiability: Tseitin CNF transformation plus DPLL.
 
-The DPLL core does unit propagation and pure-literal elimination over
-integer-literal clauses; Tseitin keeps the CNF linear in formula size while
-preserving models over the original variables.
+Each probability-bound constraint is first replaced by its known truth
+value and the constants are folded away. The DPLL core does unit
+propagation and pure-literal elimination over integer-literal clauses;
+Tseitin keeps the CNF linear in formula size while preserving models over
+the original variables.
 """
 
 from __future__ import annotations
 
-from .reqast import Bottom, Node, Not, Or, PropVar, Top
+from .reqast import Bottom, Constraint, Node, Not, Or, PropVar, RequirementError, Top
 
 
-def _fold_constants(node: Node) -> Node:
-    """Eliminate Top/Bottom by Boolean identities."""
+def _fold_constants(node: Node, constraint_truth) -> Node:
+    """Substitute each constraint's truth, then eliminate Top/Bottom by
+    Boolean identities."""
     if isinstance(node, (Top, Bottom, PropVar)):
         return node
+    if isinstance(node, Constraint):
+        key = node.constraint.structural_key()
+        if constraint_truth is None or key not in constraint_truth:
+            raise RequirementError("no truth value given for a constraint")
+        return Top() if constraint_truth[key] else Bottom()
     if isinstance(node, Not):
-        child = _fold_constants(node.child)
+        child = _fold_constants(node.child, constraint_truth)
         if isinstance(child, Top):
             return Bottom()
         if isinstance(child, Bottom):
             return Top()
         return Not(child)
     if isinstance(node, Or):
-        left = _fold_constants(node.left)
-        right = _fold_constants(node.right)
+        left = _fold_constants(node.left, constraint_truth)
+        right = _fold_constants(node.right, constraint_truth)
         if isinstance(left, Top) or isinstance(right, Top):
             return Top()
         if isinstance(left, Bottom):
@@ -31,7 +39,7 @@ def _fold_constants(node: Node) -> Node:
         if isinstance(right, Bottom):
             return left
         return Or(left, right)
-    raise TypeError(f"unexpected node {node!r} (constraints must be abstracted first)")
+    raise TypeError(f"unexpected node {node!r}")
 
 
 def collect_prop_vars(node: Node) -> set:
@@ -140,15 +148,17 @@ def _dpll(clauses: list, assignment: dict):
     return None
 
 
-def dpll_sat(formula: Node):
-    """Complete satisfiability check for a constraint-free requirement AST.
+def dpll_sat(formula: Node, constraint_truth=None):
+    """Complete satisfiability check for a requirement AST.
 
-    Returns (satisfiable, model): the model covers every propositional
-    variable of the formula, defaulting unconstrained variables to True;
-    model is None when unsatisfiable.
+    constraint_truth maps a QoSConstraint's structural key to its truth
+    value, as in `reqast.evaluate`; a constraint missing from it raises
+    RequirementError. Returns (satisfiable, model): the model covers every
+    propositional variable of the formula, defaulting unconstrained
+    variables to True; model is None when unsatisfiable.
     """
     names = sorted(collect_prop_vars(formula))
-    folded = _fold_constants(formula)
+    folded = _fold_constants(formula, constraint_truth)
     if isinstance(folded, Top):
         return True, {name: True for name in names}
     if isinstance(folded, Bottom):

@@ -119,7 +119,7 @@ class TestAnalyticCenter:
 
     def test_strict_interior(self, triangle):
         c = analytic_center(triangle)
-        assert np.all(triangle.slacks(c) > 0.0)
+        assert np.all(triangle.bounds - triangle.constraint_matrix @ c > 0.0)
 
     def test_empty_interior(self):
         # the slab 0 <= x <= 0 has no interior point

@@ -11,6 +11,7 @@ from probqos import (
     AttributeSchema,
     Box,
     HPolytope,
+    QoSConstraint,
     QoSRecordSet,
     RngStream,
     bandwidth_scott,
@@ -19,15 +20,18 @@ from probqos import (
 )
 from probqos.learning import KDEProfile
 from probqos.reference import R_BAD_TEXT, R_BOX_TEXT, R_GOOD_TEXT, SCHEMA
-from probqos.reqast import Not, Or, PropVar, and_, evaluate, iff, implies
+from probqos.reqast import Constraint, Not, Or, PropVar, and_, evaluate, iff, implies
 from probqos.sat import collect_prop_vars, dpll_sat
 
 NAMES = ("p", "q", "r")
+PROP_LEAVES = st.sampled_from(NAMES).map(PropVar)
+
+CONSTRAINTS = tuple(QoSConstraint(parse_region(text, SCHEMA), p_min, 1.0)
+                    for text, p_min in ((R_BOX_TEXT, 0.1), (R_GOOD_TEXT, 0.6),
+                                        (R_BAD_TEXT, 0.2)))
 
 
-def formulas(depth: int = 4):
-    leaf = st.sampled_from(NAMES).map(PropVar)
-
+def formulas(depth: int = 4, leaf=PROP_LEAVES):
     def extend(children):
         unary = children.map(Not)
         binary = st.tuples(st.sampled_from([Or, and_, implies, iff]),
@@ -48,6 +52,25 @@ def test_dpll_matches_truth_table(formula):
     assert sat == brute
     if sat:
         assert evaluate(formula, model, {})
+
+
+@given(st.integers(min_value=2, max_value=3).flatmap(
+           lambda n: st.tuples(
+               formulas(leaf=PROP_LEAVES
+                        | st.sampled_from(CONSTRAINTS[:n]).map(Constraint)),
+               st.lists(st.booleans(), min_size=n, max_size=n))))
+@settings(max_examples=200, deadline=None)
+def test_dpll_substitutes_constraint_truths(case):
+    formula, values = case
+    truths = {c.structural_key(): v for c, v in zip(CONSTRAINTS, values)}
+    present = sorted(collect_prop_vars(formula))
+    brute = any(
+        evaluate(formula, dict(zip(present, vals)), truths)
+        for vals in itertools.product([False, True], repeat=len(present)))
+    sat, model = dpll_sat(formula, truths)
+    assert sat == brute
+    if sat:
+        assert evaluate(formula, model, truths)
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1),

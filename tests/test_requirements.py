@@ -8,7 +8,6 @@ from probqos import (
     AttributeSchema,
     QoSConstraint,
     RngStream,
-    abstract,
     dpll_sat,
     evaluate_constraint,
     parse_region,
@@ -22,6 +21,7 @@ from probqos.reqast import (
     Not,
     Or,
     PropVar,
+    RequirementError,
     Top,
     and_,
     collect_constraints,
@@ -164,33 +164,19 @@ class TestSAT:
                 assert evaluate(formula, model, {})
 
 
-class TestAbstraction:
-    def test_conjunction(self):
-        req = parse_requirement(f"P[{BOX}] in [0.6, _] && P[{BOX}] in [_, 0.3]",
-                                SCHEMA)
-        amap = abstract(req)
-        assert sorted(amap.bindings) == ["$c1", "$c2"]
-        assert not any(isinstance(n, Constraint)
-                       for n in _walk_nodes(amap.formula))
+class TestConstraintSubstitution:
+    def test_truths_substituted(self):
+        req = parse_requirement(f"vars p ; p <-> P[{BOX}] in [0.6, _]", SCHEMA)
+        (c,) = collect_constraints(req.root)
+        assert dpll_sat(req.root, {c.structural_key(): True}) == (True, {"p": True})
+        assert dpll_sat(req.root, {c.structural_key(): False}) == (True, {"p": False})
 
-    def test_structural_sharing(self):
-        req = parse_requirement(f"P[{BOX}] in [0.1, 0.2] || P[{BOX}] in [0.1, 0.2]",
-                                SCHEMA)
-        amap = abstract(req)
-        assert len(amap.bindings) == 1
-
-    def test_top_empty_bindings(self):
-        amap = abstract(parse_requirement("true", SCHEMA))
-        assert amap.bindings == {}
-
-
-def _walk_nodes(node):
-    yield node
-    if isinstance(node, Not):
-        yield from _walk_nodes(node.child)
-    elif isinstance(node, Or):
-        yield from _walk_nodes(node.left)
-        yield from _walk_nodes(node.right)
+    def test_missing_truth_raises(self):
+        req = parse_requirement(f"P[{BOX}] in [0.6, _] || true", SCHEMA)
+        with pytest.raises(RequirementError):
+            dpll_sat(req.root)
+        with pytest.raises(RequirementError):
+            dpll_sat(req.root, {})
 
 
 class TestEvaluateConstraint:
@@ -199,7 +185,7 @@ class TestEvaluateConstraint:
         truth, est, se = evaluate_constraint(QoSConstraint(region, 0.0, 1.0),
                                              independent_profile(), 1_000,
                                              RngStream(0))
-        assert truth is True and est is None
+        assert (truth, est, se) == (True, 1.0, 0.0)
 
     def test_clearly_false(self):
         region = parse_region(BOX, SCHEMA)
@@ -249,6 +235,15 @@ class TestQoSCheck:
             req = parse_requirement(text, SCHEMA)
             report = qos_check(independent_profile(), req, k=1_000, rng=0)
             assert (report.verdict == "satisfied") == dpll_sat(req.root)[0]
+
+    def test_constraint_variables_in_first_occurrence_order(self):
+        req = parse_requirement(
+            f"P[{BOX}] in [0.6, _] && (P[{BOX}] in [_, 0.3] || P[{BOX}] in [0.6, _])",
+            SCHEMA)
+        report = qos_check(independent_profile(), req, k=2_000, rng=0)
+        assert [(row.variable, row.p_min, row.p_max)
+                for row in report.constraint_table] == [("$c1", 0.6, 1.0),
+                                                        ("$c2", 0.0, 0.3)]
 
     def test_constraint_evaluated_once(self):
         req = parse_requirement(
