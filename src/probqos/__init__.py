@@ -36,7 +36,6 @@ from .integrate import (
     IntegralEstimate,
     SchemaMismatchError,
     convergence_scan,
-    integrate_rejection_box,
     integrate_uniform,
 )
 from .learning import (
@@ -130,7 +129,6 @@ __all__ = [
     "estimate_volume",
     "evaluate_constraint",
     "fit_kde_cv",
-    "integrate_rejection_box",
     "integrate_uniform",
     "load_profile",
     "load_repository",

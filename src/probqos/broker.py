@@ -43,7 +43,9 @@ def load_repository(repo_dir) -> list:
     The service_id is the filename stem; ids must be unique and all profiles
     must share one schema.
     """
-    from .serialize import load_profile  # local import avoids a cycle at startup
+    # Looked up on the serialize module at call time, so that a wrapper
+    # installed there later (perfbench's tracer) is the one called.
+    from .serialize import load_profile
 
     repo = Path(repo_dir)
     if not repo.is_dir():
@@ -95,7 +97,6 @@ class SelectionResult:
     requirement_hash: str
     k: int
     seed: int
-    mode: str
     confidence_z: float
     checked: tuple = ()  # every (service_id, CheckReport), ranking order
 
@@ -114,7 +115,7 @@ class SelectionResult:
                 for sid, rep in self.checked
             ],
             "requirement_hash": self.requirement_hash,
-            "config": {"k": self.k, "seed": self.seed, "mode": self.mode,
+            "config": {"k": self.k, "seed": self.seed,
                        "confidence_z": self.confidence_z},
         }
 
@@ -129,7 +130,7 @@ def _rank_key(item):
 
 
 def select(entries, req: QoSRequirement, k: int = DEFAULT_SAMPLES,
-           seed: int = 0, mode: str = "confidence", confidence_z: float = 3.0,
+           seed: int = 0, confidence_z: float = 3.0,
            include_indeterminate: bool = False) -> SelectionResult:
     """Check every service and rank the satisfying ones.
 
@@ -143,12 +144,12 @@ def select(entries, req: QoSRequirement, k: int = DEFAULT_SAMPLES,
     checked = []
     for entry in entries:
         stream = RngStream(derive_service_seed(seed, entry.service_id))
-        report = qos_check(entry.profile, req, k=k, rng=stream, mode=mode,
+        report = qos_check(entry.profile, req, k=k, rng=stream,
                            confidence_z=confidence_z)
         checked.append((entry.service_id, report))
     checked.sort(key=_rank_key)
     keep = {"satisfied"} | ({"indeterminate"} if include_indeterminate else set())
     ranked = tuple((sid, rep) for sid, rep in checked if rep.verdict in keep)
     return SelectionResult(ranked=ranked, requirement_hash=requirement_hash(req),
-                           k=k, seed=seed, mode=mode, confidence_z=confidence_z,
+                           k=k, seed=seed, confidence_z=confidence_z,
                            checked=tuple(checked))

@@ -5,7 +5,8 @@ select (rank a repository against a requirement), integrate (region
 probability and convergence scan), volume (polytope volume estimate).
 
 Exit codes: 0 satisfied / success, 1 violated / nothing selected,
-2 indeterminate, 10 malformed input, 11 schema mismatch, 12 unbounded region.
+2 indeterminate, 10 malformed input or usage, 11 schema mismatch, 12 unbounded
+region.
 """
 
 from __future__ import annotations
@@ -74,14 +75,23 @@ def _read_requirement(path: str, schema):
     return parse_requirement(text, schema)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_MALFORMED: argparse's 2 is EXIT_INDETERMINATE."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
+
+
+def _add_common(parser: argparse.ArgumentParser, samples: bool, z: bool) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                        help="Monte Carlo samples per estimate")
-    parser.add_argument("--mode", choices=("strict", "confidence"),
-                        default="confidence", help="boundary decision semantics")
-    parser.add_argument("--z", type=float, default=3.0,
-                        help="confidence band half-width in standard errors")
+    if samples:
+        parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                            help="Monte Carlo samples per estimate")
+    if z:
+        parser.add_argument("--z", type=float, default=3.0,
+                            help="confidence band half-width in standard errors; "
+                                 "0 decides on the point estimates")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
 
@@ -90,7 +100,7 @@ def _cmd_check(args) -> int:
     profile = load_profile(args.profile)
     req = _read_requirement(args.requirement, profile.schema)
     report = qos_check(profile, req, k=args.samples, rng=RngStream(args.seed),
-                       mode=args.mode, confidence_z=args.z)
+                       confidence_z=args.z)
     _emit(report.to_dict())
     return _VERDICT_EXIT[report.verdict]
 
@@ -98,8 +108,7 @@ def _cmd_check(args) -> int:
 def _cmd_select(args) -> int:
     entries = load_repository(args.repository)
     req = _read_requirement(args.requirement, entries[0].profile.schema)
-    result = select(entries, req, k=args.samples, seed=args.seed, mode=args.mode,
-                    confidence_z=args.z,
+    result = select(entries, req, k=args.samples, seed=args.seed, confidence_z=args.z,
                     include_indeterminate=args.include_indeterminate)
     _emit(result.to_dict())
     satisfied = any(rep.verdict == "satisfied" for _, rep in result.ranked)
@@ -157,10 +166,9 @@ def _cmd_integrate(args) -> int:
     est = integrate_uniform(profile, region, args.samples, RngStream(args.seed))
     if args.json:
         _emit({"estimate": est.value, "std_error": est.std_error, "k": est.k,
-               "method": est.method, "volume_used": est.volume_used})
+               "volume_used": est.volume_used})
     else:
-        print(f"P(X in R) = {est.value:.6f} +/- {est.std_error:.6f} "
-              f"(k={est.k}, {est.method})")
+        print(f"P(X in R) = {est.value:.6f} +/- {est.std_error:.6f} (k={est.k})")
     return EXIT_SATISFIED
 
 
@@ -178,7 +186,7 @@ def _cmd_volume(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="probqos",
         description="Probabilistic QoS contract checking and service selection",
     )
@@ -187,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide whether a profile meets a requirement")
     p.add_argument("profile", help="profile JSON path")
     p.add_argument("requirement", help="requirement text file")
-    _add_common(p)
+    _add_common(p, samples=True, z=True)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("select", help="rank a repository against a requirement")
@@ -195,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("requirement", help="requirement text file")
     p.add_argument("--include-indeterminate", action="store_true",
                    help="also list indeterminate services, marked as such")
-    _add_common(p)
+    _add_common(p, samples=True, z=True)
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("learn", help="fit a KDE profile from a records CSV")
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5, help="CV fold count")
     p.add_argument("--grid", default="0.25,0.5,1.0,2.0,4.0",
                    help="CV bandwidth-scale grid (comma-separated)")
-    _add_common(p)
+    _add_common(p, samples=False, z=False)
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("integrate", help="estimate P(X in R) or scan convergence")
@@ -223,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-seeds", type=int, default=20,
                    help="replicates per k for --scan")
     p.add_argument("--truth", type=float, help="reference value for --scan errors")
-    _add_common(p)
+    _add_common(p, samples=True, z=False)
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("volume", help="estimate the volume of a bounded region")
@@ -231,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="conjunction of linear inequalities")
     p.add_argument("--attributes", required=True,
                    help="comma-separated attribute names fixing the axis order")
-    _add_common(p)
+    _add_common(p, samples=True, z=False)
     p.set_defaults(func=_cmd_volume)
 
     return parser

@@ -38,8 +38,7 @@ class IntegralEstimate:
     value: float
     std_error: float
     k: int
-    method: str  # "uniform-polytope" | "rejection-box"
-    volume_used: float | None
+    volume_used: float
 
 
 def _check_schema(profile: QoSProfile, region: HPolytope) -> None:
@@ -85,10 +84,10 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
     vbox = region.bounding_box.volume
     volume, volume_se = volume_from_hits(vbox, hits, k)
     if volume == 0.0:
-        return IntegralEstimate(0.0, 0.0, k, "uniform-polytope", 0.0)
+        return IntegralEstimate(0.0, 0.0, k, 0.0)
     if hits / k >= REJECTION_ACCEPTANCE_THRESHOLD:
         value, std_error = _box_mean(profile, points, k, vbox)
-        return IntegralEstimate(value, std_error, k, "uniform-polytope", volume)
+        return IntegralEstimate(value, std_error, k, volume)
     points = dikin_walk(region, k, stream.substream(1))
     f = profile.density(points)
     mean_f = float(f.mean())
@@ -96,20 +95,7 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
     value = volume * mean_f
     std_error = float(np.sqrt(volume * volume * var_f / k
                               + mean_f * mean_f * volume_se * volume_se))
-    return IntegralEstimate(value, std_error, k, "uniform-polytope", volume)
-
-
-def integrate_rejection_box(profile: QoSProfile, region: HPolytope, k: int,
-                            rng: "RngStream | int") -> IntegralEstimate:
-    """Vol(box) * mean(f * 1_R) over one `box_pass` of k proposals on rng,
-    whatever the acceptance: the estimator `integrate_uniform` uses above
-    the rejection threshold, drawn on a different substream."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    _check_schema(profile, region)
-    _, points = box_pass(region, k, rng, keep_hits=True)
-    value, std_error = _box_mean(profile, points, k, region.bounding_box.volume)
-    return IntegralEstimate(value, std_error, k, "rejection-box", None)
+    return IntegralEstimate(value, std_error, k, volume)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ class QoSConstraint:
     region: HPolytope
     p_min: float = 0.0
     p_max: float = 1.0
-    label: str | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.p_min <= self.p_max <= 1.0):

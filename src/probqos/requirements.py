@@ -9,6 +9,7 @@ into the formula and settles what remains with the DPLL solver.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -352,12 +353,11 @@ def parse_region(text: str, schema: AttributeSchema) -> HPolytope:
 @dataclass(frozen=True)
 class ConstraintResult:
     variable: str
-    label: str | None
     p_min: float
     p_max: float
     estimate: float
     std_error: float
-    truth: "bool | None"  # None = indeterminate (confidence mode)
+    truth: "bool | None"  # None = the z-band straddles a bound
     margin: float
 
 
@@ -366,7 +366,6 @@ class CheckReport:
     verdict: str  # "satisfied" | "violated" | "indeterminate"
     witness: "dict | None"
     constraint_table: tuple
-    mode: str
     k: int
     confidence_z: float
 
@@ -377,7 +376,6 @@ class CheckReport:
             "constraints": [
                 {
                     "variable": c.variable,
-                    "label": c.label,
                     "p_min": c.p_min,
                     "p_max": c.p_max,
                     "estimate": c.estimate,
@@ -387,7 +385,6 @@ class CheckReport:
                 }
                 for c in self.constraint_table
             ],
-            "mode": self.mode,
             "k": self.k,
             "confidence_z": self.confidence_z,
         }
@@ -399,11 +396,14 @@ class CheckReport:
         return min(c.margin for c in self.constraint_table)
 
 
-def _decide(estimate: float, std_error: float, c: QoSConstraint, z: float,
-            mode: str):
-    """Truth value of p_min <= P <= p_max given a noisy estimate."""
-    if mode == "strict":
-        return c.p_min <= estimate <= c.p_max
+def _decide(estimate: float, std_error: float, c: QoSConstraint, z: float):
+    """Truth value of p_min <= P <= p_max given a noisy estimate.
+
+    The band estimate +/- z * std_error, clipped to [0, 1], decides: True
+    when it lies within the bounds, False when it lies wholly outside them,
+    None when it straddles a bound. At z = 0 the band is the clipped point
+    estimate, which always decides.
+    """
     lo = max(estimate - z * std_error, 0.0)
     hi = min(estimate + z * std_error, 1.0)
     if lo >= c.p_min and hi <= c.p_max:
@@ -414,72 +414,73 @@ def _decide(estimate: float, std_error: float, c: QoSConstraint, z: float,
 
 
 def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
-                        rng: "RngStream | int", confidence_z: float = 3.0,
-                        mode: str = "confidence"):
+                        rng: "RngStream | int", confidence_z: float = 3.0):
     """Integrate the region probability and compare it with the bounds.
 
-    Returns (truth, estimate, std_error); truth is None when the confidence
-    interval straddles a bound (confidence mode only). Vacuous [0, 1] bounds
-    need no integration and give (True, 1.0, 0.0).
+    Returns (truth, estimate, std_error); truth is `_decide` at confidence_z,
+    None when the band straddles a bound. Vacuous [0, 1] bounds need no
+    integration and give (True, 1.0, 0.0).
     """
-    if mode not in ("strict", "confidence"):
-        raise ValueError("mode must be 'strict' or 'confidence'")
     if constraint.p_min == 0.0 and constraint.p_max == 1.0:
         return True, 1.0, 0.0
     est = integrate_uniform(profile, constraint.region, k, rng)
-    truth = _decide(est.value, est.std_error, constraint, confidence_z, mode)
+    truth = _decide(est.value, est.std_error, constraint, confidence_z)
     return truth, est.value, est.std_error
 
 
 def _margin(estimate: float, std_error: float, c: QoSConstraint,
             z: float) -> float:
-    """Distance from the estimate to the nearer bound, beyond the z-band."""
-    return min(abs(estimate - c.p_min), abs(estimate - c.p_max)) - z * std_error
+    """Distance from the estimate to the nearer binding bound (p_min > 0 or
+    p_max < 1; 1.0 when neither binds), less the z-band."""
+    distances = []
+    if c.p_min > 0.0:
+        distances.append(abs(estimate - c.p_min))
+    if c.p_max < 1.0:
+        distances.append(abs(estimate - c.p_max))
+    return min(distances, default=1.0) - z * std_error
 
 
 def qos_check(profile: QoSProfile, req: QoSRequirement, k: int = DEFAULT_SAMPLES,
-              rng: "RngStream | int" = 0, mode: str = "confidence",
-              confidence_z: float = 3.0) -> CheckReport:
+              rng: "RngStream | int" = 0, confidence_z: float = 3.0) -> CheckReport:
     """Decision procedure: integrate each constraint once, substitute, then SAT.
 
     Each distinct constraint, in first-occurrence order, is integrated on
     its own substream and reported as ``$c1``, ``$c2``, ... Its truth value
     replaces it in the formula, and satisfaction then reduces to
-    satisfiability over the requirement's free propositional variables. In
-    confidence mode a constraint whose interval straddles a bound counts at
-    its point truth (estimate within the bounds), and the verdict is
-    "indeterminate" when some other truth assignment of such constraints
-    changes the SAT outcome.
+    satisfiability over the requirement's free propositional variables. A
+    constraint whose z-band straddles a bound counts at its point truth
+    (`_decide` at z = 0), and the verdict is "indeterminate" when some other
+    truth assignment of such constraints changes the SAT outcome. At
+    confidence_z = 0 every constraint is decided on its point estimate.
     """
-    if mode not in ("strict", "confidence"):
-        raise ValueError("mode must be 'strict' or 'confidence'")
+    if not (math.isfinite(confidence_z) and confidence_z >= 0.0):
+        raise ValueError(f"confidence_z must be finite and >= 0, got {confidence_z}")
     stream = as_stream(rng)
-    z = confidence_z if mode == "confidence" else 0.0
 
     table = []
     truths: dict = {}
     undecided: list = []
     for idx, constraint in enumerate(collect_constraints(req.root)):
         truth, est, se = evaluate_constraint(
-            constraint, profile, k, stream.substream(idx), confidence_z, mode)
+            constraint, profile, k, stream.substream(idx), confidence_z)
         var = f"$c{idx + 1}"  # '$' is not a lexable ident character, so never clashes
-        table.append(ConstraintResult(var, constraint.label, constraint.p_min,
-                                      constraint.p_max, est, se, truth,
-                                      _margin(est, se, constraint, z)))
+        table.append(ConstraintResult(var, constraint.p_min, constraint.p_max, est, se,
+                                      truth, _margin(est, se, constraint, confidence_z)))
         key = constraint.structural_key()
         if truth is None:
             undecided.append(key)
-            truth = constraint.p_min <= est <= constraint.p_max
+            truth = _decide(est, se, constraint, 0.0)
         truths[key] = truth
 
     satisfiable, model = sat.dpll_sat(req.root, truths)
-    flips = itertools.product((False, True), repeat=len(undecided)) if undecided else ()
-    for values in flips:
+    point = tuple(truths[key] for key in undecided)
+    for values in itertools.product((False, True), repeat=len(undecided)):
+        if values == point:  # the assignment just solved
+            continue
         flipped = {**truths, **dict(zip(undecided, values))}
         if sat.dpll_sat(req.root, flipped)[0] != satisfiable:
-            return CheckReport("indeterminate", None, tuple(table), mode, k,
-                               confidence_z)
+            return CheckReport("indeterminate", None, tuple(table), k, confidence_z)
     if not satisfiable:
-        return CheckReport("violated", None, tuple(table), mode, k, confidence_z)
+        return CheckReport("violated", None, tuple(table), k, confidence_z)
     witness = {name: model.get(name, True) for name in req.prop_vars}
-    return CheckReport("satisfied", witness, tuple(table), mode, k, confidence_z)
+    return CheckReport("satisfied", witness, tuple(table), k, confidence_z)

@@ -274,3 +274,40 @@ class TestCLI:
         assert code == 0
         doc = json.loads(out)
         assert abs(doc["volume"] - 0.5) <= 3 * doc["std_error"] + 1e-12
+
+    @pytest.mark.parametrize("z", ["-500", "nan"])
+    def test_check_z_validated(self, capsys, fixtures_dir, z):
+        code, out, err = self.run(capsys, "check",
+                                  str(fixtures_dir / "profiles" / "service_a.json"),
+                                  str(fixtures_dir / "requirements" / "good_min.qreq"),
+                                  "--samples", "20000", "--z", z)
+        assert (code, out) == (10, "")
+        assert "confidence_z" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "profile.json"),
+        ("check", "profile.json", "req.qreq", "--samples", "abc"),
+        ("learn", "records.csv", "-o", "out.json", "--samples", "1000"),
+        ("volume", "--region", "0 <= x", "--attributes", "x", "--z", "1"),
+        ("frobnicate",),
+    ])
+    def test_usage_error_exits_malformed(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 10
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb,present,absent", [
+        ("check", {"--samples", "--z"}, set()),
+        ("select", {"--samples", "--z"}, set()),
+        ("learn", set(), {"--samples", "--z"}),
+        ("integrate", {"--samples"}, {"--z"}),
+        ("volume", {"--samples"}, {"--z"}),
+    ])
+    def test_help_lists_used_flags_only(self, capsys, verb, present, absent):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        flags = set(capsys.readouterr().out.replace(",", " ").split())
+        assert present | {"--seed", "--json"} <= flags
+        assert not flags & (absent | {"--mode"})

@@ -38,3 +38,16 @@ def test_check_fixture(capsys, service, requirement, expected):
     doc = json.loads(out)
     assert code == (0 if verdict == "satisfied" else 1)
     assert (doc["verdict"], doc["witness"]) == (verdict, witness)
+
+
+def test_select_ranks_by_binding_bounds(capsys):
+    # service_b's second estimate is 0 against [_, 0.3]: its margin is 0.3,
+    # not the distance to the absent lower bound 0
+    code = main(["select", str(FIXTURES / "profiles"),
+                 str(FIXTURES / "requirements" / "conjunction.qreq"), "--seed", "7",
+                 "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [row["service_id"] for row in doc["all_services"]] == [
+        "service_b", "service_d", "service_a", "service_c"]
+    assert doc["selected"][0]["constraints"][1]["margin"] == pytest.approx(0.3)

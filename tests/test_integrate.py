@@ -9,7 +9,6 @@ from probqos import (
     UniformBox,
     convergence_scan,
     estimate_volume,
-    integrate_rejection_box,
     integrate_uniform,
     parse_region,
     rectangle_probability,
@@ -107,19 +106,6 @@ class TestPinnedEstimates:
         assert est.value == pytest.approx(0.01126240043165887, rel=1e-12)
         assert est.std_error == pytest.approx(0.0024015829862932304, rel=1e-12)
         assert est.volume_used == pytest.approx(1100.0, rel=1e-12)
-
-
-class TestIntegrateRejectionBox:
-    def test_agrees_with_uniform(self):
-        a = integrate_uniform(independent_profile(), R_BOX, 200_000, RngStream(3))
-        b = integrate_rejection_box(independent_profile(), R_BOX, 200_000, RngStream(4))
-        combined = np.hypot(a.std_error, b.std_error)
-        assert abs(a.value - b.value) <= 3 * combined
-
-    def test_constant_density_half_square(self):
-        est = integrate_rejection_box(constant_profile(), triangle_xy(), 100_000,
-                                      RngStream(5))
-        assert abs(est.value - 0.5) <= 3 * est.std_error
 
 
 class TestConvergenceScan:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -34,6 +35,9 @@ from probqos.reference import SCHEMA, bad_profile, independent_profile
 from probqos.sat import collect_prop_vars
 
 BOX = "60 <= TP && TP <= 100 && 0 <= RT && RT <= 300"
+# nearly all of the independent profile's mass: at k=20,000 the estimate
+# exceeds 1 at rng 0, 2, 3 and 4
+WIDE_099 = "P[-100 <= TP && TP <= 200 && 0 <= RT && RT <= 5000] in [0.99, _]"
 
 
 def random_formula(rng: random.Random, depth: int, names):
@@ -214,7 +218,7 @@ class TestEvaluateConstraint:
         region = parse_region(BOX, SCHEMA)
         truth, est, _ = evaluate_constraint(QoSConstraint(region, 0.16145, 1.0),
                                             independent_profile(), 50_000,
-                                            RngStream(3), mode="strict")
+                                            RngStream(3), confidence_z=0.0)
         assert truth == (0.16145 <= est <= 1.0)
 
 
@@ -294,3 +298,56 @@ class TestQoSCheck:
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["verdict"] == "satisfied"
         assert len(doc["constraints"]) == 1
+
+
+class TestDecisionRule:
+    """One comparison, `_decide` at confidence_z, decides every constraint;
+    an undecided constraint counts at its truth for z = 0."""
+
+    @pytest.mark.parametrize("rng", [0, 2, 3, 4])
+    def test_z0_decides_estimate_above_one(self, rng):
+        report = qos_check(independent_profile(), parse_requirement(WIDE_099, SCHEMA),
+                           k=20_000, rng=rng, confidence_z=0.0)
+        assert report.constraint_table[0].estimate > 1.0
+        assert report.verdict == "satisfied"
+
+    def test_point_truth_clips_estimate_above_one(self):
+        req = parse_requirement(f"vars p ; p <-> {WIDE_099}", SCHEMA)
+        report = qos_check(independent_profile(), req, k=20_000, rng=0)
+        assert report.constraint_table[0].truth is None
+        assert report.witness == {"p": True}
+
+    @pytest.mark.parametrize("z", [-1.0, -500.0, math.nan, math.inf])
+    def test_confidence_z_validated(self, z):
+        with pytest.raises(ValueError):
+            qos_check(independent_profile(), parse_requirement("true", SCHEMA),
+                      k=1_000, rng=0, confidence_z=z)
+
+    def test_sat_calls_per_undecided_constraint(self, monkeypatch):
+        from probqos import sat
+
+        calls = []
+        solve = sat.dpll_sat
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(sat, "dpll_sat", counting)
+        # one undecided constraint, OR-ed with a certainly true one
+        req = parse_requirement(
+            f"P[{BOX}] in [0.16145, _] || P[{BOX}] in [0.1, 0.2]", SCHEMA)
+        report = qos_check(independent_profile(), req, k=50_000, rng=3)
+        assert [row.truth for row in report.constraint_table] == [None, True]
+        assert report.verdict == "satisfied"
+        assert len(calls) == 2  # the point truths, then the other assignment
+
+    def test_margin_counts_binding_bounds_only(self):
+        # RT < 0 has zero density: the estimate is exactly 0 with zero s.e.
+        empty = "0 <= TP && TP <= 100 && -10 <= RT && RT <= -1"
+        req = parse_requirement(f"P[{empty}] in [_, 0.3] && P[{BOX}] in [_, _]", SCHEMA)
+        report = qos_check(independent_profile(), req, k=2_000, rng=0)
+        assert [(row.estimate, row.std_error) for row in report.constraint_table] == [
+            (0.0, 0.0), (1.0, 0.0)]
+        assert [row.margin for row in report.constraint_table] == [
+            pytest.approx(0.3), 1.0]
