@@ -5,7 +5,7 @@ requirement, with deterministic per-service seeds and margin-based ranking.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .integrate import DEFAULT_SAMPLES
@@ -30,11 +30,10 @@ class BrokerError(Exception):
 
 @dataclass(frozen=True)
 class ServiceEntry:
-    """One candidate service: its identifier, profile, and where it came from."""
+    """One candidate service: its identifier and profile."""
 
     service_id: str
     profile: QoSProfile
-    provenance: dict = field(default_factory=dict)  # {"source": "declared"|"learned", ...}
 
 
 def load_repository(repo_dir) -> list:
@@ -64,11 +63,7 @@ def load_repository(repo_dir) -> list:
                 f"{path.name}: schema {profile.schema.names} differs from "
                 f"repository schema {schema.names}"
             )
-        provenance = {"source": "declared", "path": path.name}
-        if getattr(profile, "fit_info", None):
-            provenance = {"source": "learned", "path": path.name,
-                          "records": profile.m, "fit": profile.fit_info}
-        entries.append(ServiceEntry(path.stem, profile, provenance))
+        entries.append(ServiceEntry(path.stem, profile))
     ids = [e.service_id for e in entries]
     if len(set(ids)) != len(ids):
         raise BrokerError("duplicate service ids in repository")
@@ -91,7 +86,7 @@ _VERDICT_RANK = {"satisfied": 0, "indeterminate": 1, "violated": 2}
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Ranked satisfying services (and, under a flag, indeterminate ones)."""
+    """Ranked satisfying services, and every service's verdict."""
 
     ranked: tuple  # of (service_id, CheckReport)
     requirement_hash: str
@@ -130,8 +125,7 @@ def _rank_key(item):
 
 
 def select(entries, req: QoSRequirement, k: int = DEFAULT_SAMPLES,
-           seed: int = 0, confidence_z: float = 3.0,
-           include_indeterminate: bool = False) -> SelectionResult:
+           seed: int = 0, confidence_z: float = 3.0) -> SelectionResult:
     """Check every service and rank the satisfying ones.
 
     Ordering: verdict, then minimum decision margin across constraints
@@ -148,8 +142,7 @@ def select(entries, req: QoSRequirement, k: int = DEFAULT_SAMPLES,
                            confidence_z=confidence_z)
         checked.append((entry.service_id, report))
     checked.sort(key=_rank_key)
-    keep = {"satisfied"} | ({"indeterminate"} if include_indeterminate else set())
-    ranked = tuple((sid, rep) for sid, rep in checked if rep.verdict in keep)
+    ranked = tuple((sid, rep) for sid, rep in checked if rep.verdict == "satisfied")
     return SelectionResult(ranked=ranked, requirement_hash=requirement_hash(req),
                            k=k, seed=seed, confidence_z=confidence_z,
                            checked=tuple(checked))

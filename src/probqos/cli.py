@@ -83,17 +83,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, samples: bool, z: bool) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+_ALWAYS_JSON = "accepted and ignored: the output is always JSON"
+
+
+def _add_common(parser: argparse.ArgumentParser, samples: bool, z: bool,
+                seed_help: str = "master RNG seed",
+                samples_help: str = "Monte Carlo samples per estimate",
+                json_help: str = "machine-readable JSON output") -> None:
+    parser.add_argument("--seed", type=int, default=0, help=seed_help)
     if samples:
         parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                            help="Monte Carlo samples per estimate")
+                            help=samples_help)
     if z:
         parser.add_argument("--z", type=float, default=3.0,
                             help="confidence band half-width in standard errors; "
                                  "0 decides on the point estimates")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable JSON output")
+    parser.add_argument("--json", action="store_true", help=json_help)
 
 
 def _cmd_check(args) -> int:
@@ -108,8 +113,7 @@ def _cmd_check(args) -> int:
 def _cmd_select(args) -> int:
     entries = load_repository(args.repository)
     req = _read_requirement(args.requirement, entries[0].profile.schema)
-    result = select(entries, req, k=args.samples, seed=args.seed, confidence_z=args.z,
-                    include_indeterminate=args.include_indeterminate)
+    result = select(entries, req, k=args.samples, seed=args.seed, confidence_z=args.z)
     _emit(result.to_dict())
     satisfied = any(rep.verdict == "satisfied" for _, rep in result.ranked)
     return EXIT_SATISFIED if satisfied else EXIT_VIOLATED
@@ -195,15 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide whether a profile meets a requirement")
     p.add_argument("profile", help="profile JSON path")
     p.add_argument("requirement", help="requirement text file")
-    _add_common(p, samples=True, z=True)
+    _add_common(p, samples=True, z=True, json_help=_ALWAYS_JSON)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("select", help="rank a repository against a requirement")
     p.add_argument("repository", help="directory of profile JSON files")
     p.add_argument("requirement", help="requirement text file")
-    p.add_argument("--include-indeterminate", action="store_true",
-                   help="also list indeterminate services, marked as such")
-    _add_common(p, samples=True, z=True)
+    _add_common(p, samples=True, z=True, json_help=_ALWAYS_JSON)
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("learn", help="fit a KDE profile from a records CSV")
@@ -218,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5, help="CV fold count")
     p.add_argument("--grid", default="0.25,0.5,1.0,2.0,4.0",
                    help="CV bandwidth-scale grid (comma-separated)")
-    _add_common(p, samples=False, z=False)
+    _add_common(p, samples=False, z=False,
+                seed_help="seeds the --cv folds; the rule-of-thumb fit draws nothing")
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("integrate", help="estimate P(X in R) or scan convergence")
@@ -231,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-seeds", type=int, default=20,
                    help="replicates per k for --scan")
     p.add_argument("--truth", type=float, help="reference value for --scan errors")
-    _add_common(p, samples=True, z=False)
+    _add_common(p, samples=True, z=False,
+                samples_help="Monte Carlo samples for the estimate; --scan uses --ks")
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("volume", help="estimate the volume of a bounded region")
@@ -252,6 +256,9 @@ def main(argv=None) -> int:
         args.kernel = ["gaussian", "exponential"] if args.cv else ["gaussian"]
     try:
         return args.func(args)
+    except RecursionError:
+        print("error: input nests too deeply to process", file=sys.stderr)
+        return EXIT_MALFORMED
     except UnboundedPolytopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNBOUNDED

@@ -167,8 +167,8 @@ class KDEProfile(QoSProfile):
         h = np.asarray(bandwidths, dtype=float)
         if h.shape != (schema.dim,):
             raise DimensionMismatchError("one bandwidth per attribute required")
-        if not np.all(h > 0.0):
-            raise LearningError("bandwidths must be strictly positive")
+        if not np.all((h > 0.0) & np.isfinite(h)):
+            raise LearningError("bandwidths must be positive and finite")
         self.schema = schema
         self.observations = obs.copy()
         self.observations.setflags(write=False)

@@ -9,6 +9,7 @@ box used as a constant-density fixture.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,8 +71,8 @@ class GaussianMarginal(Marginal):
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ProfileError("variance must be positive")
+        if not (math.isfinite(self.mean) and 0 < self.variance < math.inf):
+            raise ProfileError("mean must be finite and variance positive and finite")
 
     @property
     def sd(self) -> float:
@@ -105,8 +106,8 @@ class GammaMarginal(Marginal):
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise ProfileError("shape and rate must be positive")
+        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
+            raise ProfileError("shape and rate must be positive and finite")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -189,8 +190,9 @@ class CorrelatedTPRT(QoSProfile):
 
     def __init__(self, mu: float, sigma2: float, alpha: float, beta: float,
                  schema: AttributeSchema | None = None):
-        if not (sigma2 > 0 and alpha > 0 and beta > 0):
-            raise ProfileError("sigma2, alpha and beta must be positive")
+        if not (math.isfinite(mu) and all(0 < v < math.inf for v in (sigma2, alpha, beta))):
+            raise ProfileError("mu must be finite and sigma2, alpha and beta "
+                               "positive and finite")
         if mu == 0:
             raise ProfileError("mu must be nonzero (it scales the coupling)")
         self.mu = float(mu)

@@ -1,10 +1,10 @@
-"""Propositional satisfiability: Tseitin CNF transformation plus DPLL.
+"""Propositional satisfiability: DPLL on the requirement formula itself.
 
-Each probability-bound constraint is first replaced by its known truth
-value and the constants are folded away. The DPLL core does unit
-propagation and pure-literal elimination over integer-literal clauses;
-Tseitin keeps the CNF linear in formula size while preserving models over
-the original variables.
+Each probability-bound constraint is replaced by its known truth value, and
+Boolean identities fold the constants away. DPLL then searches the folded
+formula directly: it assigns the literals the formula forces (the unit
+rule), folds them in, and splits on the first remaining variable by name,
+each assignment again folded in as a constant.
 """
 
 from __future__ import annotations
@@ -12,10 +12,16 @@ from __future__ import annotations
 from .reqast import Bottom, Constraint, Node, Not, Or, PropVar, RequirementError, Top
 
 
-def _fold_constants(node: Node, constraint_truth) -> Node:
-    """Substitute each constraint's truth, then eliminate Top/Bottom by
-    Boolean identities."""
-    if isinstance(node, (Top, Bottom, PropVar)):
+def _fold_constants(node: Node, constraint_truth, valuation=None) -> Node:
+    """Substitute each constraint's truth and each variable assigned in
+    `valuation`, then eliminate Top/Bottom by Boolean identities. A subtree
+    that folds to itself is returned as is, so that DPLL's repeated folds
+    rebuild only the paths that change."""
+    if isinstance(node, PropVar):
+        if valuation is None or node.name not in valuation:
+            return node
+        return Top() if valuation[node.name] else Bottom()
+    if isinstance(node, (Top, Bottom)):
         return node
     if isinstance(node, Constraint):
         key = node.constraint.structural_key()
@@ -23,21 +29,23 @@ def _fold_constants(node: Node, constraint_truth) -> Node:
             raise RequirementError("no truth value given for a constraint")
         return Top() if constraint_truth[key] else Bottom()
     if isinstance(node, Not):
-        child = _fold_constants(node.child, constraint_truth)
+        child = _fold_constants(node.child, constraint_truth, valuation)
         if isinstance(child, Top):
             return Bottom()
         if isinstance(child, Bottom):
             return Top()
-        return Not(child)
+        return node if child is node.child else Not(child)
     if isinstance(node, Or):
-        left = _fold_constants(node.left, constraint_truth)
-        right = _fold_constants(node.right, constraint_truth)
+        left = _fold_constants(node.left, constraint_truth, valuation)
+        right = _fold_constants(node.right, constraint_truth, valuation)
         if isinstance(left, Top) or isinstance(right, Top):
             return Top()
         if isinstance(left, Bottom):
             return right
         if isinstance(right, Bottom):
             return left
+        if left is node.left and right is node.right:
+            return node
         return Or(left, right)
     raise TypeError(f"unexpected node {node!r}")
 
@@ -57,95 +65,34 @@ def collect_prop_vars(node: Node) -> set:
     return out
 
 
-def tseitin_cnf(node: Node):
-    """CNF equisatisfiable with the formula; models agree on original vars.
-
-    Returns (clauses, var_ids) where clauses use signed integer literals and
-    var_ids maps PropVar names to positive integers. Assumes constants have
-    been folded away.
-    """
-    var_ids: dict = {}
-    for name in sorted(collect_prop_vars(node)):
-        var_ids[name] = len(var_ids) + 1
-    clauses: list = []
-    counter = [len(var_ids)]
-
-    def encode(cur: Node) -> int:
-        if isinstance(cur, PropVar):
-            return var_ids[cur.name]
-        if isinstance(cur, Not):
-            return -encode(cur.child)
-        if isinstance(cur, Or):
-            la = encode(cur.left)
-            lb = encode(cur.right)
-            counter[0] += 1
-            o = counter[0]
-            clauses.append([-o, la, lb])
-            clauses.append([o, -la])
-            clauses.append([o, -lb])
-            return o
-        raise TypeError(f"unexpected node {cur!r}")
-
-    root = encode(node)
-    clauses.append([root])
-    return clauses, var_ids
+def _forced(node: Node, value: bool = True):
+    """(name, value) literals that every valuation giving `node` the truth
+    `value` assigns: the variable itself, or the disjuncts of a false Or."""
+    if isinstance(node, PropVar):
+        yield node.name, value
+    elif isinstance(node, Not):
+        yield from _forced(node.child, not value)
+    elif isinstance(node, Or) and not value:
+        yield from _forced(node.left, False)
+        yield from _forced(node.right, False)
 
 
-def _dpll(clauses: list, assignment: dict):
-    """Recursive DPLL with unit propagation and pure-literal elimination."""
-    while True:
-        simplified = []
-        unit = 0
-        for clause in clauses:
-            reduced = []
-            satisfied = False
-            for lit in clause:
-                val = assignment.get(abs(lit))
-                if val is None:
-                    reduced.append(lit)
-                elif (lit > 0) == val:
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if not reduced:
-                return None  # conflict
-            if len(reduced) == 1 and unit == 0:
-                unit = reduced[0]
-            simplified.append(reduced)
-        if not simplified:
-            return assignment
-        if unit:
-            assignment = dict(assignment)
-            assignment[abs(unit)] = unit > 0
-            clauses = simplified
-            continue
-        polarity: dict = {}
-        for clause in simplified:
-            for lit in clause:
-                v = abs(lit)
-                p = 1 if lit > 0 else -1
-                if v not in polarity:
-                    polarity[v] = p
-                elif polarity[v] != p:
-                    polarity[v] = 0
-        pure = [v for v, p in polarity.items() if p != 0]
-        if pure:
-            assignment = dict(assignment)
-            for v in pure:
-                assignment[v] = polarity[v] > 0
-            clauses = simplified
-            continue
-        clauses = simplified
-        break
-    var = min(abs(lit) for clause in clauses for lit in clause)
-    for value in (True, False):
-        trial = dict(assignment)
-        trial[var] = value
-        result = _dpll(clauses, trial)
-        if result is not None:
-            return result
-    return None
+def _dpll(node: Node, valuation: dict):
+    """A valuation extending `valuation` that makes the folded formula true,
+    or None. A variable forced both ways folds the formula to Bottom."""
+    while not isinstance(node, (Top, Bottom)):
+        units = dict(_forced(node))
+        if not units:
+            name = min(collect_prop_vars(node))
+            for value in (True, False):
+                found = _dpll(_fold_constants(node, None, {name: value}),
+                              {**valuation, name: value})
+                if found is not None:
+                    return found
+            return None
+        valuation = {**valuation, **units}
+        node = _fold_constants(node, None, units)
+    return valuation if isinstance(node, Top) else None
 
 
 def dpll_sat(formula: Node, constraint_truth=None):
@@ -153,21 +100,14 @@ def dpll_sat(formula: Node, constraint_truth=None):
 
     constraint_truth maps a QoSConstraint's structural key to its truth
     value, as in `reqast.evaluate`; a constraint missing from it raises
-    RequirementError. Returns (satisfiable, model): the model covers every
+    RequirementError. The constraint truths are folded in, and DPLL with the
+    unit rule runs on the remaining formula over its propositional
+    variables. Returns (satisfiable, model): the model covers every
     propositional variable of the formula, defaulting unconstrained
     variables to True; model is None when unsatisfiable.
     """
     names = sorted(collect_prop_vars(formula))
-    folded = _fold_constants(formula, constraint_truth)
-    if isinstance(folded, Top):
-        return True, {name: True for name in names}
-    if isinstance(folded, Bottom):
+    valuation = _dpll(_fold_constants(formula, constraint_truth), {})
+    if valuation is None:
         return False, None
-    clauses, var_ids = tseitin_cnf(folded)
-    result = _dpll(clauses, {})
-    if result is None:
-        return False, None
-    model = {name: result.get(vid, True) for name, vid in var_ids.items()}
-    for name in names:
-        model.setdefault(name, True)
-    return True, model
+    return True, {name: valuation.get(name, True) for name in names}

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from probqos import (
+    Box,
     CorrelatedTPRT,
     KDEProfile,
     QoSRecordSet,
@@ -19,16 +21,49 @@ from probqos import (
 )
 from probqos.broker import BrokerError
 from probqos.cli import main
+from probqos.learning import LearningError
+from probqos.profiles import ProfileError, rectangle_probability
 from probqos.reference import (
     R_GOOD_TEXT,
     SCHEMA,
     bad_profile,
+    correlated_profile,
     independent_profile,
     shifted_profile,
 )
 from probqos.serialize import SerializationError
 
 GOOD_MIN = f"P[{R_GOOD_TEXT}] in [0.6, _]\n"
+BOX_TEXT = "60 <= TP && TP <= 100 && 0 <= RT && RT <= 300"
+
+
+def _kde_profile():
+    records = QoSRecordSet(SCHEMA, RngStream(0).generator().normal(
+        [50.0, 300.0], [15.0, 100.0], (20, 2)))
+    return KDEProfile(SCHEMA, records, "exponential", (3.0, 30.0))
+
+
+def _set(key, value, index=None):
+    """Edit one field of a profile document, inside marginal `index` if given."""
+    def edit(doc):
+        (doc["marginals"][index] if index is not None else doc)[key] = value
+    return edit
+
+
+NON_FINITE = {
+    "gaussian-mean-nan": (independent_profile, _set("mean", math.nan, 0)),
+    "gaussian-mean-inf": (independent_profile, _set("mean", math.inf, 0)),
+    "gaussian-variance-inf": (independent_profile, _set("variance", math.inf, 0)),
+    "gamma-shape-inf": (independent_profile, _set("shape", math.inf, 1)),
+    "gamma-rate-nan": (independent_profile, _set("rate", math.nan, 1)),
+    "tprt-mu-nan": (correlated_profile, _set("mu", math.nan)),
+    "tprt-mu-inf": (correlated_profile, _set("mu", -math.inf)),
+    "tprt-sigma2-inf": (correlated_profile, _set("sigma2", math.inf)),
+    "tprt-alpha-nan": (correlated_profile, _set("alpha", math.nan)),
+    "tprt-beta-inf": (correlated_profile, _set("beta", math.inf)),
+    "kde-bandwidth-inf": (_kde_profile, _set("bandwidths", [3.0, math.inf])),
+    "kde-bandwidth-nan": (_kde_profile, _set("bandwidths", [math.nan, 30.0])),
+}
 
 
 @pytest.fixture
@@ -83,6 +118,13 @@ class TestSerialize:
     def test_unknown_kind(self):
         with pytest.raises(SerializationError):
             profile_from_dict({"schema": ["TP", "RT"], "kind": "copula"})
+
+    @pytest.mark.parametrize("make,edit", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_non_finite_parameters_rejected(self, make, edit):
+        doc = profile_to_dict(make())
+        edit(doc)
+        with pytest.raises((ProfileError, LearningError), match="finite"):
+            profile_from_dict(doc)
 
 
 class TestRepository:
@@ -266,6 +308,23 @@ class TestCLI:
         doc = json.loads(out)
         assert doc["estimate"] == pytest.approx(0.16145, abs=0.005)
 
+    def test_integrate_scan(self, capsys, tmp_path):
+        profile = tmp_path / "p.json"
+        save_profile(independent_profile(), profile)
+        truth = rectangle_probability(independent_profile(),
+                                      Box((60.0, 0.0), (100.0, 300.0)))
+        argv = ("integrate", str(profile), "--region", BOX_TEXT, "--scan",
+                "--ks", "100,1000,10000", "--scan-seeds", "3", "--json")
+        code, out, _ = self.run(capsys, *argv, "--truth", str(truth))
+        assert code == 0
+        doc = json.loads(out)
+        assert [row["k"] for row in doc["rows"]] == [100, 1000, 10000]
+        assert all(row["mean_abs_error"] >= 0 for row in doc["rows"])
+        assert math.isfinite(doc["slope"]) and doc["truth"] == truth
+        code, out, err = self.run(capsys, *argv)
+        assert (code, out) == (10, "")
+        assert "--truth" in err
+
     def test_volume(self, capsys):
         code, out, _ = self.run(capsys, "volume", "--region",
                                 "0 <= x && 0 <= y && x + y <= 1",
@@ -283,6 +342,31 @@ class TestCLI:
                                   "--samples", "20000", "--z", z)
         assert (code, out) == (10, "")
         assert "confidence_z" in err
+
+    def test_check_non_finite_profile(self, capsys, tmp_path, fixtures_dir):
+        doc = json.loads((fixtures_dir / "profiles" / "service_a.json").read_text())
+        doc["marginals"][0]["mean"] = math.nan
+        profile = tmp_path / "nan.json"
+        profile.write_text(json.dumps(doc))
+        code, out, err = self.run(capsys, "check", str(profile),
+                                  str(fixtures_dir / "requirements" / "good_min.qreq"),
+                                  "--samples", "2000")
+        assert (code, out) == (10, "")
+        assert "finite" in err
+
+    @pytest.mark.parametrize("text", [
+        "!" * 3000 + "true",
+        "(" * 3000 + "true" + ")" * 3000,
+        "vars p ; " + " || ".join(["p"] * 3000),
+    ], ids=["negations", "parentheses", "flat-or"])
+    def test_check_deep_requirement(self, capsys, tmp_path, fixtures_dir, text):
+        req = tmp_path / "deep.qreq"
+        req.write_text(text)
+        code, out, err = self.run(capsys, "check",
+                                  str(fixtures_dir / "profiles" / "service_a.json"),
+                                  str(req), "--samples", "2000")
+        assert (code, out) == (10, "")
+        assert err.count("\n") == 1 and "too deeply" in err
 
     @pytest.mark.parametrize("argv", [
         ("check", "profile.json"),

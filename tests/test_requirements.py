@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -156,6 +157,20 @@ class TestSAT:
         sat, model = dpll_sat(formula)
         assert sat and set(model) == {"a", "b", "c"}
         assert evaluate(formula, model, {})
+
+    @pytest.mark.parametrize("pairs", [12, 20])
+    def test_unit_rule_refutes_without_splitting(self, pairs):
+        # (v_i || v_j) conjuncts, then z && !z: splitting on the v's first,
+        # even with each assignment folded in, walks 2^pairs branches
+        v = [PropVar(f"v{i:02d}") for i in range(2 * pairs)]
+        formula = Or(v[0], v[1])
+        for i in range(2, 2 * pairs, 2):
+            formula = and_(formula, Or(v[i], v[i + 1]))
+        z = PropVar("z")
+        formula = and_(and_(formula, z), Not(z))
+        t0 = time.perf_counter()
+        assert dpll_sat(formula) == (False, None)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_truth_table_agreement(self):
         rng = random.Random(2024)
