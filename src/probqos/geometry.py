@@ -4,13 +4,15 @@ A region is an H-polytope {x : A x <= b}. Construction verifies boundedness
 by solving 2n linear programs (one per axis direction); the same LP kernel
 supplies interior points and the bounding box used for rejection sampling.
 `box_pass` is the one loop over uniform box proposals: the volume estimate
-and rejection-regime integration both go through it.
+and rejection-regime integration both go through it. It streams the
+proposals in cache-sized chunks, each drawn, tested and handed on before the
+next is drawn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,7 +22,8 @@ PIVOT_TOL = 1e-9
 BARRIER_GRAD_TOL = 1e-8
 BARRIER_MAX_ITER = 200
 
-_CHUNK = 262_144
+# coordinates per box_pass chunk: a chunk's draws and hits stay in L2
+_CHUNK_ELEMENTS = 1 << 15
 
 
 class GeometryError(Exception):
@@ -376,14 +379,22 @@ def analytic_center(poly: HPolytope) -> np.ndarray:
     raise GeometryError("analytic center did not converge")
 
 
-def box_pass(poly: HPolytope, k: int, rng: "int | RngStream", keep_hits: bool = False):
-    """Draw k uniform bounding-box proposals once and test them for membership.
+def box_pass(poly: HPolytope, k: int, rng: "int | RngStream",
+             evaluate: "Callable[[np.ndarray], np.ndarray] | None" = None):
+    """Stream k uniform bounding-box proposals through the membership test.
 
-    The proposals come from rng.substream(0), in chunks of at most 262,144
-    points. Only the rows in `poly.box_rows` are tested. Returns (hits,
-    points): the number of proposals inside the polytope, and the accepted
-    proposals in draw order as an (hits, n) array when `keep_hits`, else
-    None. A box of zero volume draws nothing and reports no hits.
+    The proposals come from rng.substream(0) in chunks of
+    _CHUNK_ELEMENTS // n rows, so that a chunk's draws, hits and density
+    temporaries stay in cache. Each chunk is drawn into one reused buffer
+    (the same bits as one gen.uniform(lower, upper) call for all k),
+    scaled in place and compressed to its hits; only the rows in
+    `poly.box_rows` are tested. When `evaluate` is given, it is called on
+    each chunk's hits, an (h, n) array in draw order that may be a view of
+    the reused buffer, so `evaluate` must copy what it keeps. Returns
+    (hits, values): the number of proposals inside the polytope, and the
+    per-chunk results of `evaluate` concatenated in draw order, or None
+    without `evaluate`. A box of zero volume draws nothing, reports no hits
+    and evaluates an empty (0, n) array.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -391,29 +402,33 @@ def box_pass(poly: HPolytope, k: int, rng: "int | RngStream", keep_hits: bool = 
     n = poly.dim
     if box.volume == 0.0:
         # measure-zero region: no box sample can land strictly inside
-        return 0, (np.empty((0, n)) if keep_hits else None)
-    width = box.upper - box.lower
+        return 0, (None if evaluate is None else evaluate(np.empty((0, n))))
     test_rows = poly.box_rows.size > 0
     gen = as_stream(rng).substream(0).generator()
-    kept = []
+    rows = min(max(_CHUNK_ELEMENTS // n, 1), k)
+    # the width and lower corner repeated once per row, so that scaling a
+    # chunk is two contiguous passes (broadcasting a length-n row would
+    # loop over the rows)
+    width = np.tile(box.upper - box.lower, rows)
+    lower = np.tile(box.lower, rows)
+    buf = np.empty(rows * n)
+    values = []
     hits = 0
-    done = 0
-    while done < k:
-        c = min(_CHUNK, k - done)
-        # the draws of gen.uniform(lower, upper), bit for bit, without its
-        # broadcasting overhead
-        pts = gen.random((c, n))
-        pts *= width
-        pts += box.lower
+    for done in range(0, k, rows):
+        c = min(rows, k - done)
+        flat = buf[:c * n]
+        gen.random(out=flat)
+        flat *= width[:c * n]
+        flat += lower[:c * n]
+        pts = flat.reshape(c, n)
         if test_rows:
             pts = pts.compress(poly.contains_box_points(pts), axis=0)
         hits += pts.shape[0]
-        if keep_hits:
-            kept.append(pts)
-        done += c
-    if not keep_hits:
+        if evaluate is not None:
+            values.append(evaluate(pts))
+    if evaluate is None:
         return hits, None
-    return hits, (kept[0] if len(kept) == 1 else np.concatenate(kept))
+    return hits, (values[0] if len(values) == 1 else np.concatenate(values))
 
 
 def volume_from_hits(box_volume: float, hits: int, k: int):

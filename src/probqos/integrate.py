@@ -1,12 +1,14 @@
 """Monte Carlo estimation of region probabilities P(X in R).
 
 The estimator is the paper's Vol(R) * mean(density at uniform points of R),
-built on one pass of k uniform bounding-box proposals. When the box
-acceptance is high enough, the pass's accepted points are the region sample
-and Vol(box) * hits/k is the volume, so the estimate is Vol(box) * mean(f *
-1_R) over the k proposals; otherwise the pass supplies the volume and a
-Dikin walk the region sample. Both quantify their uncertainty and converge
-at the dimension-independent 1/sqrt(k) rate.
+built on one pass of k uniform bounding-box proposals. The pass streams the
+proposals in cache-sized chunks and evaluates the density on each chunk's
+hits as it goes; the per-chunk values are concatenated in draw order and
+reduced once. When the box acceptance is high enough, the pass's accepted
+points are the region sample and Vol(box) * hits/k is the volume, so the
+estimate is Vol(box) * mean(f * 1_R) over the k proposals; otherwise the
+pass supplies the volume and a Dikin walk the region sample. Both quantify
+their uncertainty and converge at the dimension-independent 1/sqrt(k) rate.
 """
 
 from __future__ import annotations
@@ -49,12 +51,12 @@ def _check_schema(profile: QoSProfile, region: HPolytope) -> None:
         )
 
 
-def _box_mean(profile: QoSProfile, points: np.ndarray, k: int, box_volume: float):
-    """Vol(box) * mean(f * 1_R) over k box proposals, given the accepted
-    `points`, and its standard error Vol(box) * sd(f * 1_R) / sqrt(k)."""
-    if points.shape[0] == 0:
+def _box_mean(f: np.ndarray, k: int, box_volume: float):
+    """Vol(box) * mean(f * 1_R) over k box proposals, given the density `f`
+    at the accepted ones, and its standard error Vol(box) * sd(f * 1_R) /
+    sqrt(k)."""
+    if f.shape[0] == 0:
         return 0.0, 0.0
-    f = profile.density(points)
     mean_g = float(f.sum()) / k
     # squared deviations of f * 1_R: the misses each contribute mean_g^2
     ss = float(((f - mean_g) ** 2).sum()) + (k - f.shape[0]) * mean_g * mean_g
@@ -67,11 +69,13 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
 
     One `box_pass` of k bounding-box proposals on rng.substream(0) gives the
     volume V = Vol(box) * hits/k, the same as `estimate_volume` on that
-    substream. When the acceptance hits/k is at least
-    REJECTION_ACCEPTANCE_THRESHOLD, the accepted proposals are the uniform
-    region points, so V * mean(f over the hits) = Vol(box) * mean(f * 1_R)
-    over all k proposals, whose standard error Vol(box) * sd(f * 1_R) /
-    sqrt(k) covers the volume's error too. Below the threshold, k region
+    substream, and the density at the hits, evaluated chunk by chunk and
+    concatenated in draw order before any reduction. When the acceptance
+    hits/k is at least REJECTION_ACCEPTANCE_THRESHOLD, the accepted
+    proposals are the uniform region points, so V * mean(f over the hits) =
+    Vol(box) * mean(f * 1_R) over all k proposals, whose standard error
+    Vol(box) * sd(f * 1_R) / sqrt(k) covers the volume's error too. Below
+    the threshold, the density at the hits goes unused and k region
     points come from a Dikin walk on rng.substream(1), and the standard
     error combines the density sample variance with the volume's binomial
     error by first-order propagation.
@@ -80,13 +84,13 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
         raise ValueError("k must be >= 2")
     _check_schema(profile, region)
     stream = as_stream(rng)
-    hits, points = box_pass(region, k, stream.substream(0), keep_hits=True)
+    hits, f = box_pass(region, k, stream.substream(0), profile.density)
     vbox = region.bounding_box.volume
     volume, volume_se = volume_from_hits(vbox, hits, k)
     if volume == 0.0:
         return IntegralEstimate(0.0, 0.0, k, 0.0)
     if hits / k >= REJECTION_ACCEPTANCE_THRESHOLD:
-        value, std_error = _box_mean(profile, points, k, vbox)
+        value, std_error = _box_mean(f, k, vbox)
         return IntegralEstimate(value, std_error, k, volume)
     points = dikin_walk(region, k, stream.substream(1))
     f = profile.density(points)

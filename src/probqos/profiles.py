@@ -56,7 +56,11 @@ class AttributeSchema:
 
 class Marginal(ABC):
     @abstractmethod
-    def pdf(self, x: np.ndarray) -> np.ndarray: ...
+    def logpdf(self, x: np.ndarray) -> np.ndarray:
+        """Log density; -inf outside the support."""
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        return np.exp(self.logpdf(x))
 
     @abstractmethod
     def cdf(self, x: np.ndarray) -> np.ndarray: ...
@@ -78,10 +82,13 @@ class GaussianMarginal(Marginal):
     def sd(self) -> float:
         return float(np.sqrt(self.variance))
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mean) / self.sd
-        return np.exp(-0.5 * z * z) / (self.sd * np.sqrt(2.0 * np.pi))
+    def logpdf(self, x):
+        z = np.asarray(x, dtype=float) - self.mean
+        z /= self.sd
+        z *= z
+        z *= -0.5
+        z -= math.log(self.sd * math.sqrt(2.0 * math.pi))
+        return z
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -91,13 +98,14 @@ class GaussianMarginal(Marginal):
         return gen.normal(self.mean, self.sd, size=k)
 
 
-def _gamma_logpdf(x: np.ndarray, shape, rate) -> np.ndarray:
-    return (
-        shape * np.log(rate)
-        - special.gammaln(shape)
-        + (shape - 1.0) * np.log(x)
-        - rate * x
-    )
+def _gamma_logpdf(x: np.ndarray, shape, rate: float) -> np.ndarray:
+    """Gamma(shape, rate) log density at x > 0, built in place on one new array."""
+    out = np.log(x)
+    out *= shape - 1.0
+    out -= rate * x
+    out += shape * math.log(rate)
+    out -= special.gammaln(shape)
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,13 +117,14 @@ class GammaMarginal(Marginal):
         if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
             raise ProfileError("shape and rate must be positive and finite")
 
-    def pdf(self, x):
+    def logpdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
         pos = x > 0
-        if np.any(pos):
-            out[pos] = np.exp(_gamma_logpdf(x[pos], self.shape, self.rate))
-        return out
+        # log(x) warns where x <= 0, and those entries are replaced below;
+        # x = inf gives inf - inf = nan, as the density's product form did
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = _gamma_logpdf(x, self.shape, self.rate)
+        return out if pos.all() else np.where(pos, out, -np.inf)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -166,11 +175,15 @@ class IndependentProduct(QoSProfile):
         self.marginals = marginals
 
     def density(self, points):
+        """exp of the summed marginal log densities: one exp per point."""
         pts = np.asarray(points, dtype=float)
-        out = np.ones(pts.shape[0])
-        for j, marg in enumerate(self.marginals):
-            out *= marg.pdf(pts[:, j])
-        return out
+        # far tails overflow z * z to inf and so underflow to density 0; a
+        # -inf term beside a +inf or nan one gives nan, as 0 * inf did
+        with np.errstate(over="ignore", invalid="ignore"):
+            logf = self.marginals[0].logpdf(pts[:, 0])
+            for j in range(1, len(self.marginals)):
+                logf += self.marginals[j].logpdf(pts[:, j])
+        return np.exp(logf, out=logf)
 
     def sample(self, k, rng):
         gen = as_stream(rng).generator()
@@ -208,17 +221,23 @@ class CorrelatedTPRT(QoSProfile):
         return self.alpha - (x1 - self.mu) / self.mu
 
     def density(self, points):
+        """exp(Gaussian log density + conditional Gamma log density), summed
+        in place with one exp per point; 0 where the conditional shape or RT
+        is nonpositive."""
         pts = np.asarray(points, dtype=float)
         x1 = pts[:, 0]
         x2 = pts[:, 1]
         shape2 = self._conditional_shape(x1)
-        out = np.zeros(pts.shape[0])
         ok = (shape2 > 0) & (x2 > 0)
-        if np.any(ok):
-            out[ok] = self._tp.pdf(x1[ok]) * np.exp(
-                _gamma_logpdf(x2[ok], shape2[ok], self.beta)
-            )
-        return out
+        # far tails overflow to inf and so underflow to density 0; points
+        # outside the support may warn or give nan here, and are overwritten
+        # with -inf below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            logf = self._tp.logpdf(x1)
+            logf += _gamma_logpdf(x2, shape2, self.beta)
+        if not ok.all():
+            logf[~ok] = -np.inf
+        return np.exp(logf, out=logf)
 
     def sample(self, k, rng):
         """Ancestral sampling: TP (redrawn where the shape is nonpositive), then RT."""

@@ -104,6 +104,20 @@ class QoSRequirement:
     source: str | None = None
 
 
+def _balanced(operands: list, combine) -> Node:
+    """Join a chain's operands, in order, as a tree of depth log2(len).
+
+    Splitting at (len + 1) // 2 keeps chains of up to three operands
+    left-folded, and the leaf order, and with it the constraint order, is
+    the chain's.
+    """
+    if len(operands) == 1:
+        return operands[0]
+    mid = (len(operands) + 1) // 2
+    return combine(_balanced(operands[:mid], combine),
+                   _balanced(operands[mid:], combine))
+
+
 class _Parser:
     def __init__(self, tokens: list, schema: AttributeSchema,
                  declared: "frozenset | None"):
@@ -145,18 +159,18 @@ class _Parser:
         return left
 
     def parse_or(self) -> Node:
-        left = self.parse_and()
+        operands = [self.parse_and()]
         while self.peek().text == "||":
             self.next()
-            left = Or(left, self.parse_and())
-        return left
+            operands.append(self.parse_and())
+        return _balanced(operands, Or)
 
     def parse_and(self) -> Node:
-        left = self.parse_unary()
+        operands = [self.parse_unary()]
         while self.peek().text == "&&":
             self.next()
-            left = and_(left, self.parse_unary())
-        return left
+            operands.append(self.parse_unary())
+        return _balanced(operands, and_)
 
     def parse_unary(self) -> Node:
         if self.peek().text == "!":

@@ -357,8 +357,7 @@ class TestCLI:
     @pytest.mark.parametrize("text", [
         "!" * 3000 + "true",
         "(" * 3000 + "true" + ")" * 3000,
-        "vars p ; " + " || ".join(["p"] * 3000),
-    ], ids=["negations", "parentheses", "flat-or"])
+    ], ids=["negations", "parentheses"])
     def test_check_deep_requirement(self, capsys, tmp_path, fixtures_dir, text):
         req = tmp_path / "deep.qreq"
         req.write_text(text)
@@ -367,6 +366,17 @@ class TestCLI:
                                   str(req), "--samples", "2000")
         assert (code, out) == (10, "")
         assert err.count("\n") == 1 and "too deeply" in err
+
+    @pytest.mark.parametrize("op", ["||", "&&"], ids=["or", "and"])
+    def test_check_flat_chain(self, capsys, tmp_path, fixtures_dir, op):
+        # a flat chain parses to a balanced tree, so its length is no depth
+        req = tmp_path / "flat.qreq"
+        req.write_text("vars p ; " + f" {op} ".join(["p"] * 3000))
+        code, out, err = self.run(capsys, "check",
+                                  str(fixtures_dir / "profiles" / "service_a.json"),
+                                  str(req), "--samples", "2000")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["witness"] == {"p": True}
 
     @pytest.mark.parametrize("argv", [
         ("check", "profile.json"),

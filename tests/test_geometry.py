@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from probqos import (
+    AttributeSchema,
     Box,
     HPolytope,
+    KDEProfile,
+    UniformBox,
     analytic_center,
     RngStream,
     estimate_volume,
+    integrate_uniform,
     solve_lp,
 )
+from probqos import geometry
 from probqos.geometry import (
     box_pass,
     DimensionMismatchError,
@@ -161,7 +166,7 @@ class TestBoxPass:
 
     def test_kept_points_are_the_hits(self, triangle):
         stream = RngStream(7)
-        hits, pts = box_pass(triangle, 10_000, stream, keep_hits=True)
+        hits, pts = box_pass(triangle, 10_000, stream, np.copy)
         # reference: gen.uniform draws on substream 0, full membership test
         box = triangle.bounding_box
         ref = stream.substream(0).generator().uniform(box.lower, box.upper,
@@ -173,3 +178,48 @@ class TestBoxPass:
     def test_validation(self, triangle):
         with pytest.raises(ValueError):
             box_pass(triangle, 0, RngStream(0))
+
+
+class TestBoxPassChunks:
+    """Chunk boundaries change nothing: the stream equals one draw of k rows."""
+
+    ELEMENTS = 64  # 32 rows per chunk in two dimensions
+    ROWS = ELEMENTS // 2
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", self.ELEMENTS)
+
+    @pytest.mark.parametrize("k", [ROWS - 1, ROWS, ROWS + 1, 5 * ROWS // 2])
+    @pytest.mark.parametrize("region", ["unit_square", "triangle"])
+    def test_hits_equal_one_shot_reference(self, request, region, k):
+        poly = request.getfixturevalue(region)
+        stream = RngStream(3)
+        calls = []
+
+        def keep(pts):
+            calls.append(len(pts))
+            return pts.copy()
+
+        hits, pts = box_pass(poly, k, stream, keep)
+        box = poly.bounding_box
+        ref = stream.substream(0).generator().random((k, 2))
+        ref *= box.upper - box.lower
+        ref += box.lower
+        ref = ref[poly.contains_all(ref)]
+        assert hits == ref.shape[0] == pts.shape[0]
+        np.testing.assert_array_equal(pts, ref)
+        assert len(calls) == -(-k // self.ROWS)
+        assert (hits, None) == box_pass(poly, k, stream)
+
+    def test_integrate_bits_do_not_depend_on_chunk_size(self, triangle, monkeypatch):
+        schema = AttributeSchema(("x", "y"))
+        obs = RngStream(5).generator().uniform(0.0, 1.0, size=(40, 2))
+        profiles = [KDEProfile(schema, obs, "gaussian", (0.2, 0.3)),
+                    UniformBox(schema, Box(np.array([0.0, 0.0]), np.array([1.0, 1.0])))]
+        for profile in profiles:
+            small = integrate_uniform(profile, triangle, 1_000, RngStream(9))
+            monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", 1 << 15)
+            one = integrate_uniform(profile, triangle, 1_000, RngStream(9))
+            monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", self.ELEMENTS)
+            assert small == one

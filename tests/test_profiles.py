@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from probqos import (
     AttributeSchema,
@@ -128,6 +129,91 @@ class TestCorrelatedTPRT:
         a = correlated_profile().sample(100, RngStream(7))
         b = correlated_profile().sample(100, RngStream(7))
         np.testing.assert_array_equal(a, b)
+
+
+def reference_density(profile, pts):
+    """Product of per-marginal scipy.stats pdfs, point by point; 0 outside
+    the support."""
+    out = []
+    with np.errstate(all="ignore"):
+        for x in pts:
+            if isinstance(profile, CorrelatedTPRT):
+                shape = profile.alpha - (x[0] - profile.mu) / profile.mu
+                if not (shape > 0 and x[1] > 0):
+                    out.append(0.0)
+                    continue
+                pairs = [(GaussianMarginal(profile.mu, profile.sigma2), x[0]),
+                         (GammaMarginal(shape, profile.beta), x[1])]
+            else:
+                pairs = zip(profile.marginals, x)
+            f = 1.0
+            for marg, xj in pairs:
+                if isinstance(marg, GaussianMarginal):
+                    f *= stats.norm.pdf(xj, marg.mean, marg.sd)
+                else:
+                    f *= stats.gamma.pdf(xj, marg.shape, scale=1.0 / marg.rate) if xj > 0 else 0.0
+            out.append(f)
+    return np.array(out)
+
+
+PARAMETRIC = [correlated_profile(), independent_profile(),
+              CorrelatedTPRT(-40.0, 90.0, 2.0, 1.5)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestFusedDensity:
+    """The joint densities sum the log densities and take one exp."""
+
+    @pytest.mark.parametrize("profile", PARAMETRIC)
+    def test_matches_scipy_product(self, profile):
+        pts = profile.sample(2_000, RngStream(4))
+        f = profile.density(pts)
+        assert np.all(f > 0)
+        np.testing.assert_allclose(f, reference_density(profile, pts), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("profile", PARAMETRIC)
+    def test_edges_and_far_tails(self, profile):
+        pts = np.array([
+            [55.0, 0.0],     # RT = 0
+            [55.0, -1.0],    # RT < 0
+            [55.0, -1e300],
+            [200.0, 250.0],  # conditional shape 0 (mu = 50, alpha = 3)
+            [230.0, 250.0],  # conditional shape < 0
+            [-1_000.0, 250.0],   # Gaussian tail: exp(-1,759) underflows
+            [55.0, 1e6],     # Gamma tail: exp(-1e4) underflows
+            [-1e200, 250.0],     # (x - mu)^2 overflows to inf
+            [55.0, 1e300],
+            [55.0, 5e-324],
+            [-39.0, 1e-3],
+        ])
+        f = profile.density(pts)
+        ref = reference_density(profile, pts)
+        np.testing.assert_allclose(f, ref, rtol=1e-12, atol=0)
+        assert not np.isnan(f).any()
+        assert np.all(f[[0, 1, 2, 5, 6, 7, 8]] == 0.0)
+
+    def test_non_finite_coordinates_keep_their_answers(self):
+        nan, inf = math.nan, math.inf
+        pts = np.array([(a, b) for a in (nan, inf, -inf, 55.0)
+                        for b in (nan, inf, -inf, 250.0, 0.5)
+                        if not (math.isfinite(a) and math.isfinite(b))])
+        # what the product of per-factor densities gave: 0 * nan and nan
+        # propagate, a zero factor beside a finite one gives 0
+        expected = {
+            "correlated": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, nan, 0, nan, 0, 0, nan, 0],
+            "independent": [nan, nan, nan, nan, nan, 0, nan, 0, 0, 0,
+                            0, nan, 0, 0, 0, 0, nan, 0],
+        }
+        for name, profile in (("correlated", correlated_profile()),
+                              ("independent", independent_profile())):
+            np.testing.assert_array_equal(profile.density(pts), expected[name])
+
+    def test_marginal_pdf_is_exp_logpdf(self):
+        x = np.array([-1.0, 0.0, 1e-3, 40.0, 400.0])
+        for marg in (GaussianMarginal(50.0, 300.0), GammaMarginal(0.5, 0.01),
+                     GammaMarginal(3.0, 0.01)):
+            np.testing.assert_array_equal(marg.pdf(x), np.exp(marg.logpdf(x)))
+        assert GammaMarginal(3.0, 0.01).logpdf(np.array([-1.0, 0.0])).tolist() == [-math.inf] * 2
 
 
 class TestUniformBox:

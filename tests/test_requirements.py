@@ -130,6 +130,72 @@ class TestParser:
         assert not region.contains([61.0, 290.0])  # cut off by the diagonal
 
 
+def left_folded(operands, op):
+    """The chain `operands` joined by `op`, parenthesized so that the parser
+    builds the left-folded tree."""
+    text = operands[0]
+    for operand in operands[1:]:
+        text = f"({text}) {op} {operand}"
+    return text
+
+
+def tree_depth(node) -> int:
+    if isinstance(node, Not):
+        return 1 + tree_depth(node.child)
+    if isinstance(node, Or):
+        return 1 + max(tree_depth(node.left), tree_depth(node.right))
+    return 0
+
+
+class TestFlatChains:
+    """`&&` and `||` chains parse to balanced trees in the chain's order."""
+
+    @pytest.mark.parametrize("op", ["&&", "||"])
+    def test_short_chains_keep_the_left_folded_tree(self, op):
+        for operands in (["a", "b"], ["a", "!b", "c"]):
+            chain = parse_requirement("vars a b c ; " + f" {op} ".join(operands), SCHEMA)
+            folded = parse_requirement("vars a b c ; " + left_folded(operands, op), SCHEMA)
+            assert chain.root == folded.root
+
+    @pytest.mark.parametrize("op", ["&&", "||"])
+    def test_long_chain_is_shallow(self, op):
+        req = parse_requirement("vars p ; " + f" {op} ".join(["p"] * 2000), SCHEMA)
+        # a left fold is 2000 levels deep for ||, three times that for &&
+        assert tree_depth(req.root) <= 3 * 11 + 2
+
+    @pytest.mark.parametrize("op,verdict", [("&&", "violated"), ("||", "satisfied")])
+    def test_long_chain_checks(self, op, verdict):
+        # every other term is p, the rest !p: the && chain is unsatisfiable
+        terms = ["p", "!p"] * 1000
+        req = parse_requirement("vars p ; " + f" {op} ".join(terms), SCHEMA)
+        report = qos_check(independent_profile(), req, k=2_000, rng=0)
+        assert report.verdict == verdict
+
+    def test_mixed_chain_matches_left_fold(self):
+        bands = ["[0.1, _]", "[_, 0.2]", "[0.5, _]", "[0.1, 0.2]", "[_, 0.9]"]
+        atoms = [f"P[{BOX}] in {band}" for band in bands] + ["p", "!q", "!(p || q)"]
+        rng = random.Random(3)
+        clauses = [[rng.choice(atoms) for _ in range(rng.randint(1, 6))] for _ in range(9)]
+        chain = " || ".join(" && ".join(c) for c in clauses)
+        folded = left_folded([f"({left_folded(c, '&&')})" for c in clauses], "||")
+        balanced = parse_requirement("vars p q ; " + chain, SCHEMA)
+        reference = parse_requirement("vars p q ; " + folded, SCHEMA)
+        assert balanced.root != reference.root
+        order = [c.structural_key() for c in collect_constraints(balanced.root)]
+        assert order == [c.structural_key() for c in collect_constraints(reference.root)]
+        assert len(order) >= 4
+        for truths in itertools.product([False, True], repeat=len(order)):
+            constraint_truth = dict(zip(order, truths))
+            for p, q in itertools.product([False, True], repeat=2):
+                valuation = {"p": p, "q": q}
+                assert (evaluate(balanced.root, valuation, constraint_truth)
+                        == evaluate(reference.root, valuation, constraint_truth))
+        for seed in range(3):
+            a = qos_check(independent_profile(), balanced, k=2_000, rng=seed)
+            b = qos_check(independent_profile(), reference, k=2_000, rng=seed)
+            assert a.to_dict() == b.to_dict()
+
+
 class TestConstraintValidation:
     def test_bounds_ordering(self):
         region = parse_region(BOX, SCHEMA)
