@@ -6,11 +6,15 @@ supplies interior points and the bounding box used for rejection sampling.
 `box_pass` is the one loop over uniform box proposals: the volume estimate
 and rejection-regime integration both go through it. It streams the
 proposals in cache-sized chunks, each drawn, tested and handed on before the
-next is drawn.
+next is drawn, and splits a long pass into one span of chunks per usable
+core, each drawing exactly the bits the serial pass would.
 """
 
 from __future__ import annotations
 
+import copy
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,6 +28,19 @@ BARRIER_MAX_ITER = 200
 
 # coordinates per box_pass chunk: a chunk's draws and hits stay in L2
 _CHUNK_ELEMENTS = 1 << 15
+# proposals per box_pass span: a shorter span would not repay its thread
+_SPAN_MIN = 4096
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+# box_pass spans at most, one per core this process may run on
+_WORKERS = _usable_cores()
 
 
 class GeometryError(Exception):
@@ -385,16 +402,29 @@ def box_pass(poly: HPolytope, k: int, rng: "int | RngStream",
 
     The proposals come from rng.substream(0) in chunks of
     _CHUNK_ELEMENTS // n rows, so that a chunk's draws, hits and density
-    temporaries stay in cache. Each chunk is drawn into one reused buffer
+    temporaries stay in cache. Each chunk is drawn into a reused buffer
     (the same bits as one gen.uniform(lower, upper) call for all k),
     scaled in place and compressed to its hits; only the rows in
     `poly.box_rows` are tested. When `evaluate` is given, it is called on
     each chunk's hits, an (h, n) array in draw order that may be a view of
-    the reused buffer, so `evaluate` must copy what it keeps. Returns
-    (hits, values): the number of proposals inside the polytope, and the
-    per-chunk results of `evaluate` concatenated in draw order, or None
-    without `evaluate`. A box of zero volume draws nothing, reports no hits
-    and evaluates an empty (0, n) array.
+    the reused buffer, so `evaluate` must copy what it keeps.
+
+    The k proposals are split into min(_WORKERS, ceil(k / _SPAN_MIN))
+    contiguous spans, one per usable core. Span j draws from a copy of the
+    substream's PCG64 state advanced past the first_j * n draws of the
+    spans before it, so every span draws exactly the bits the serial pass
+    would. Spans after the first run on short-lived threads while the
+    caller runs the first; an exception raised in any span is re-raised
+    here. The hit counts and values are joined in draw order, so when
+    `evaluate` computes each row independently of the rest of its batch,
+    as every profile density does, the result is bit-identical for any
+    number of spans. A pass of at most _SPAN_MIN proposals starts no
+    thread.
+
+    Returns (hits, values): the number of proposals inside the polytope,
+    and the per-chunk results of `evaluate` concatenated in draw order, or
+    None without `evaluate`. A box of zero volume draws nothing, reports no
+    hits and evaluates an empty (0, n) array.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -404,30 +434,64 @@ def box_pass(poly: HPolytope, k: int, rng: "int | RngStream",
         # measure-zero region: no box sample can land strictly inside
         return 0, (None if evaluate is None else evaluate(np.empty((0, n))))
     test_rows = poly.box_rows.size > 0
+    spans = min(_WORKERS, -(-k // _SPAN_MIN))
+    first = [j * k // spans for j in range(spans + 1)]
     gen = as_stream(rng).substream(0).generator()
-    rows = min(max(_CHUNK_ELEMENTS // n, 1), k)
+    gens = [gen]
+    for j in range(1, spans):
+        bits = copy.copy(gen.bit_generator)
+        bits.advance(first[j] * n)  # each double consumes one 64-bit draw
+        gens.append(np.random.Generator(bits))
+    rows = min(max(_CHUNK_ELEMENTS // n, 1), -(-k // spans))
     # the width and lower corner repeated once per row, so that scaling a
     # chunk is two contiguous passes (broadcasting a length-n row would
     # loop over the rows)
     width = np.tile(box.upper - box.lower, rows)
     lower = np.tile(box.lower, rows)
-    buf = np.empty(rows * n)
-    values = []
-    hits = 0
-    for done in range(0, k, rows):
-        c = min(rows, k - done)
-        flat = buf[:c * n]
-        gen.random(out=flat)
-        flat *= width[:c * n]
-        flat += lower[:c * n]
-        pts = flat.reshape(c, n)
-        if test_rows:
-            pts = pts.compress(poly.contains_box_points(pts), axis=0)
-        hits += pts.shape[0]
-        if evaluate is not None:
-            values.append(evaluate(pts))
+
+    def run(j):
+        buf = np.empty(rows * n)
+        values = []
+        hits = 0
+        for done in range(first[j], first[j + 1], rows):
+            c = min(rows, first[j + 1] - done)
+            flat = buf[:c * n]
+            gens[j].random(out=flat)
+            flat *= width[:c * n]
+            flat += lower[:c * n]
+            pts = flat.reshape(c, n)
+            if test_rows:
+                pts = pts.compress(poly.contains_box_points(pts), axis=0)
+            hits += pts.shape[0]
+            if evaluate is not None:
+                values.append(evaluate(pts))
+        return hits, values
+
+    results = [None] * spans
+
+    def run_caught(j):
+        try:
+            results[j] = run(j)
+        except BaseException as exc:  # handed to the caller, which raises it
+            results[j] = exc
+
+    started = []
+    try:
+        for j in range(1, spans):
+            t = threading.Thread(target=run_caught, args=(j,))
+            t.start()
+            started.append(t)
+        results[0] = run(0)
+    finally:
+        for t in started:
+            t.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    hits = sum(h for h, _ in results)
     if evaluate is None:
         return hits, None
+    values = [v for _, span_values in results for v in span_values]
     return hits, (values[0] if len(values) == 1 else np.concatenate(values))
 
 

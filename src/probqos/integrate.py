@@ -2,8 +2,8 @@
 
 The estimator is the paper's Vol(R) * mean(density at uniform points of R),
 built on one pass of k uniform bounding-box proposals. The pass streams the
-proposals in cache-sized chunks and evaluates the density on each chunk's
-hits as it goes; the per-chunk values are concatenated in draw order and
+proposals in cache-sized chunks, in one span per usable core, and evaluates
+the density on each chunk's hits as it goes; the per-chunk values are concatenated in draw order and
 reduced once. When the box acceptance is high enough, the pass's accepted
 points are the region sample and Vol(box) * hits/k is the volume, so the
 estimate is Vol(box) * mean(f * 1_R) over the k proposals; otherwise the
@@ -70,7 +70,10 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
     One `box_pass` of k bounding-box proposals on rng.substream(0) gives the
     volume V = Vol(box) * hits/k, the same as `estimate_volume` on that
     substream, and the density at the hits, evaluated chunk by chunk and
-    concatenated in draw order before any reduction. When the acceptance
+    concatenated in draw order before any reduction. Above 4,096 proposals
+    the pass runs in spans on several cores; each span draws the serial
+    pass's bits and each profile density computes every point on its own,
+    so the estimate is bit-identical for any number of cores. When the acceptance
     hits/k is at least REJECTION_ACCEPTANCE_THRESHOLD, the accepted
     proposals are the uniform region points, so V * mean(f over the hits) =
     Vol(box) * mean(f * 1_R) over all k proposals, whose standard error

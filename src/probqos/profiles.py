@@ -119,9 +119,10 @@ class GammaMarginal(Marginal):
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
-        pos = x > 0
-        # log(x) warns where x <= 0, and those entries are replaced below;
-        # x = inf gives inf - inf = nan, as the density's product form did
+        # the support is 0 < x < inf: at x = inf the log density is
+        # inf - inf = nan, and log(x) warns where x <= 0; both are replaced
+        # with -inf below
+        pos = (x > 0) & (x < math.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = _gamma_logpdf(x, self.shape, self.rate)
         return out if pos.all() else np.where(pos, out, -np.inf)
@@ -228,10 +229,11 @@ class CorrelatedTPRT(QoSProfile):
         x1 = pts[:, 0]
         x2 = pts[:, 1]
         shape2 = self._conditional_shape(x1)
-        ok = (shape2 > 0) & (x2 > 0)
+        ok = (shape2 > 0) & (x2 > 0) & (x2 < math.inf)
         # far tails overflow to inf and so underflow to density 0; points
-        # outside the support may warn or give nan here, and are overwritten
-        # with -inf below
+        # outside the support (RT = inf included, where the Gamma term is
+        # inf - inf) may warn or give nan here, and are overwritten with
+        # -inf below
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             logf = self._tp.logpdf(x1)
             logf += _gamma_logpdf(x2, shape2, self.beta)

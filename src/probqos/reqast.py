@@ -89,33 +89,51 @@ def evaluate(node: Node, valuation: dict, constraint_truth) -> bool:
 
     constraint_truth maps a QoSConstraint's structural key to its truth
     value, as in `sat.dpll_sat`; used as the brute-force entailment oracle
-    in the tests.
+    in the tests. A subterm shared by several parents, as the two halves
+    of an expanded `<->` are, is evaluated once per call.
     """
-    if isinstance(node, Top):
-        return True
-    if isinstance(node, Bottom):
-        return False
-    if isinstance(node, PropVar):
-        try:
-            return bool(valuation[node.name])
-        except KeyError:
-            raise RequirementError(f"valuation missing variable '{node.name}'")
-    if isinstance(node, Constraint):
-        return bool(constraint_truth[node.constraint.structural_key()])
-    if isinstance(node, Not):
-        return not evaluate(node.child, valuation, constraint_truth)
-    if isinstance(node, Or):
-        return (evaluate(node.left, valuation, constraint_truth)
-                or evaluate(node.right, valuation, constraint_truth))
-    raise TypeError(f"unexpected node {node!r}")
+    memo = {}
+
+    def value(cur: Node) -> bool:
+        key = id(cur)
+        if key not in memo:
+            memo[key] = truth(cur)
+        return memo[key]
+
+    def truth(cur: Node) -> bool:
+        if isinstance(cur, Top):
+            return True
+        if isinstance(cur, Bottom):
+            return False
+        if isinstance(cur, PropVar):
+            try:
+                return bool(valuation[cur.name])
+            except KeyError:
+                raise RequirementError(f"valuation missing variable '{cur.name}'")
+        if isinstance(cur, Constraint):
+            return bool(constraint_truth[cur.constraint.structural_key()])
+        if isinstance(cur, Not):
+            return not value(cur.child)
+        if isinstance(cur, Or):
+            return value(cur.left) or value(cur.right)
+        raise TypeError(f"unexpected node {cur!r}")
+
+    return value(node)
 
 
 def collect_constraints(node: Node) -> list:
-    """Distinct constraints in first-occurrence (depth-first) order."""
+    """Distinct constraints in first-occurrence (depth-first) order.
+
+    A shared subterm is walked once: its constraints were all seen on its
+    first visit."""
     seen = {}
     order = []
+    visited = set()
 
     def walk(cur: Node):
+        if id(cur) in visited:
+            return
+        visited.add(id(cur))
         if isinstance(cur, Constraint):
             key = cur.constraint.structural_key()
             if key not in seen:

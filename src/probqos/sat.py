@@ -16,45 +16,62 @@ def _fold_constants(node: Node, constraint_truth, valuation=None) -> Node:
     """Substitute each constraint's truth and each variable assigned in
     `valuation`, then eliminate Top/Bottom by Boolean identities. A subtree
     that folds to itself is returned as is, so that DPLL's repeated folds
-    rebuild only the paths that change."""
-    if isinstance(node, PropVar):
-        if valuation is None or node.name not in valuation:
-            return node
-        return Top() if valuation[node.name] else Bottom()
-    if isinstance(node, (Top, Bottom)):
-        return node
-    if isinstance(node, Constraint):
-        key = node.constraint.structural_key()
-        if constraint_truth is None or key not in constraint_truth:
-            raise RequirementError("no truth value given for a constraint")
-        return Top() if constraint_truth[key] else Bottom()
-    if isinstance(node, Not):
-        child = _fold_constants(node.child, constraint_truth, valuation)
-        if isinstance(child, Top):
-            return Bottom()
-        if isinstance(child, Bottom):
-            return Top()
-        return node if child is node.child else Not(child)
-    if isinstance(node, Or):
-        left = _fold_constants(node.left, constraint_truth, valuation)
-        right = _fold_constants(node.right, constraint_truth, valuation)
-        if isinstance(left, Top) or isinstance(right, Top):
-            return Top()
-        if isinstance(left, Bottom):
-            return right
-        if isinstance(right, Bottom):
-            return left
-        if left is node.left and right is node.right:
-            return node
-        return Or(left, right)
-    raise TypeError(f"unexpected node {node!r}")
+    rebuild only the paths that change, and a subterm shared by several
+    parents (as the two halves of an expanded `<->` are) is folded once per
+    call and stays shared in the result."""
+    memo = {}
+
+    def fold(cur: Node) -> Node:
+        key = id(cur)
+        if key not in memo:
+            memo[key] = fold_once(cur)
+        return memo[key]
+
+    def fold_once(cur: Node) -> Node:
+        if isinstance(cur, PropVar):
+            if valuation is None or cur.name not in valuation:
+                return cur
+            return Top() if valuation[cur.name] else Bottom()
+        if isinstance(cur, (Top, Bottom)):
+            return cur
+        if isinstance(cur, Constraint):
+            key = cur.constraint.structural_key()
+            if constraint_truth is None or key not in constraint_truth:
+                raise RequirementError("no truth value given for a constraint")
+            return Top() if constraint_truth[key] else Bottom()
+        if isinstance(cur, Not):
+            child = fold(cur.child)
+            if isinstance(child, Top):
+                return Bottom()
+            if isinstance(child, Bottom):
+                return Top()
+            return cur if child is cur.child else Not(child)
+        if isinstance(cur, Or):
+            left = fold(cur.left)
+            right = fold(cur.right)
+            if isinstance(left, Top) or isinstance(right, Top):
+                return Top()
+            if isinstance(left, Bottom):
+                return right
+            if isinstance(right, Bottom):
+                return left
+            if left is cur.left and right is cur.right:
+                return cur
+            return Or(left, right)
+        raise TypeError(f"unexpected node {cur!r}")
+
+    return fold(node)
 
 
 def collect_prop_vars(node: Node) -> set:
     out: set = set()
+    visited = set()
     stack = [node]
     while stack:
         cur = stack.pop()
+        if id(cur) in visited:
+            continue
+        visited.add(id(cur))
         if isinstance(cur, PropVar):
             out.add(cur.name)
         elif isinstance(cur, Not):
@@ -65,16 +82,22 @@ def collect_prop_vars(node: Node) -> set:
     return out
 
 
-def _forced(node: Node, value: bool = True):
+def _forced(node: Node, value: bool = True, visited=None):
     """(name, value) literals that every valuation giving `node` the truth
-    `value` assigns: the variable itself, or the disjuncts of a false Or."""
+    `value` assigns: the variable itself, or the disjuncts of a false Or.
+    A shared subterm is visited once per truth value it is asked for."""
+    if visited is None:
+        visited = set()
+    if (id(node), value) in visited:
+        return
+    visited.add((id(node), value))
     if isinstance(node, PropVar):
         yield node.name, value
     elif isinstance(node, Not):
-        yield from _forced(node.child, not value)
+        yield from _forced(node.child, not value, visited)
     elif isinstance(node, Or) and not value:
-        yield from _forced(node.left, False)
-        yield from _forced(node.right, False)
+        yield from _forced(node.left, False, visited)
+        yield from _forced(node.right, False, visited)
 
 
 def _dpll(node: Node, valuation: dict):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -223,3 +226,56 @@ class TestBoxPassChunks:
             one = integrate_uniform(profile, triangle, 1_000, RngStream(9))
             monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", self.ELEMENTS)
             assert small == one
+
+
+class TestBoxPassSpans:
+    """Spans on worker threads draw exactly the bits of one serial pass."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    @pytest.mark.parametrize("k", [4_095, 4_097, 16_383, 16_385, 40_960, 200_003])
+    def test_hits_equal_one_shot_reference(self, triangle, monkeypatch, workers, k):
+        monkeypatch.setattr(geometry, "_WORKERS", workers)
+        stream = RngStream(3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            hits, pts = box_pass(triangle, k, stream, np.copy)
+        finally:
+            sys.setswitchinterval(interval)
+        ref = stream.substream(0).generator().random((k, 2))
+        ref = ref[triangle.contains_all(ref)]  # the triangle's box is the unit square
+        assert hits == ref.shape[0]
+        np.testing.assert_array_equal(pts, ref)
+        assert box_pass(triangle, k, stream) == (hits, None)
+
+    @pytest.mark.parametrize("k,threads", [(2, 0), (4_095, 0), (4_096, 0), (4_097, 1),
+                                           (3 * 4_096 + 1, 3), (200_003, 6)])
+    def test_span_count(self, triangle, monkeypatch, k, threads):
+        monkeypatch.setattr(geometry, "_WORKERS", 7)
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(geometry.threading, "Thread", CountingThread)
+        box_pass(triangle, k, RngStream(0))
+        assert len(started) == threads
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("failing_span", ["worker", "caller"])
+    def test_exception_in_a_span_reaches_the_caller(self, triangle, monkeypatch, failing_span):
+        monkeypatch.setattr(geometry, "_WORKERS", 2)
+        caller = threading.current_thread()
+
+        def density(pts):
+            if (threading.current_thread() is caller) == (failing_span == "caller"):
+                raise ZeroDivisionError(failing_span)
+            return np.ones(len(pts))
+
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match=failing_span):
+            box_pass(triangle, 10_000, RngStream(0), density)
+        assert threading.active_count() == before

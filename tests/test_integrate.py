@@ -5,6 +5,7 @@ from probqos import (
     AttributeSchema,
     Box,
     HPolytope,
+    KDEProfile,
     RngStream,
     UniformBox,
     convergence_scan,
@@ -13,6 +14,7 @@ from probqos import (
     parse_region,
     rectangle_probability,
 )
+from probqos import geometry
 from probqos.integrate import SchemaMismatchError
 from probqos.reference import R_GOOD_TEXT, SCHEMA, correlated_profile, independent_profile
 
@@ -87,6 +89,39 @@ class TestSingleBoxPass:
         stream = RngStream(21)
         est = integrate_uniform(correlated_profile(), R_GOOD, 2_000, stream)
         assert est.volume_used == estimate_volume(R_GOOD, 2_000, stream.substream(0))[0]
+
+
+def span_profiles():
+    """One profile of each kind on the TP/RT schema: the two parametric
+    joints, a KDE and a uniform box."""
+    obs = RngStream(5).generator().uniform(0.0, 1.0, size=(40, 2)) * [100.0, 600.0]
+    return {
+        "correlated": correlated_profile(),
+        "independent": independent_profile(),
+        "kde": KDEProfile(SCHEMA, obs, "gaussian", (8.0, 50.0)),
+        "uniform": UniformBox(SCHEMA, R_GOOD.bounding_box),
+    }
+
+
+class TestWorkerCount:
+    """The box pass's spans change no bit of an estimate: every profile
+    density computes each row on its own."""
+
+    CHUNK_ROWS = geometry._CHUNK_ELEMENTS // 2
+
+    @pytest.mark.parametrize("profile", ["correlated", "independent", "kde", "uniform"])
+    def test_estimates_do_not_depend_on_workers(self, monkeypatch, profile):
+        prof = span_profiles()[profile]
+        ks = [2, 3, 4_095, 4_097, self.CHUNK_ROWS - 1, self.CHUNK_ROWS + 1,
+              5 * self.CHUNK_ROWS // 2, 200_003]
+        results = {}
+        for workers in (1, 2, 3, 7):
+            monkeypatch.setattr(geometry, "_WORKERS", workers)
+            results[workers] = [(integrate_uniform(prof, R_GOOD, k, RngStream(k)),
+                                 estimate_volume(R_GOOD, k, RngStream(k)))
+                                for k in ks]
+        for workers in (2, 3, 7):
+            assert results[workers] == results[1]
 
 
 class TestPinnedEstimates:

@@ -198,11 +198,13 @@ class TestFusedDensity:
                         for b in (nan, inf, -inf, 250.0, 0.5)
                         if not (math.isfinite(a) and math.isfinite(b))])
         # what the product of per-factor densities gave: 0 * nan and nan
-        # propagate, a zero factor beside a finite one gives 0
+        # propagate, a zero factor beside a finite one gives 0; RT = inf is
+        # outside the Gamma support, so (inf, inf), (-inf, inf) and (55, inf)
+        # give 0 (the product form gave nan there, from inf - inf)
         expected = {
-            "correlated": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, nan, 0, nan, 0, 0, nan, 0],
-            "independent": [nan, nan, nan, nan, nan, 0, nan, 0, 0, 0,
-                            0, nan, 0, 0, 0, 0, nan, 0],
+            "correlated": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, nan, 0, 0, 0, 0],
+            "independent": [nan, nan, nan, nan, nan, 0, 0, 0, 0, 0,
+                            0, 0, 0, 0, 0, 0, 0, 0],
         }
         for name, profile in (("correlated", correlated_profile()),
                               ("independent", independent_profile())):

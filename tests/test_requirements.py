@@ -249,6 +249,64 @@ class TestSAT:
                 assert evaluate(formula, model, {})
 
 
+IFF_ATOMS = ["a", "!a", "b", "!c", "(a || d)", f"P[{BOX}] in [0.1, _]", f"P[{BOX}] in [_, 0.05]"]
+IFF_TAILS = ["!a && !b && !c", "a && !d", "!(b || c || d)"]
+
+
+def iff_chain(terms: int, seed: int) -> str:
+    rng = random.Random(seed)
+    chain = " <-> ".join(rng.choice(IFF_ATOMS) for _ in range(terms))
+    return f"vars a b c d ; ({chain}) && {IFF_TAILS[seed % 3]}"
+
+
+# (terms, seed) -> (verdict, witness) of qos_check on iff_chain(terms, seed)
+# at k=2,000 and rng 0, as the walks gave before they shared subterms
+IFF_PINNED = {
+    (2, 0): ('violated', None),
+    (2, 1): ('violated', None),
+    (2, 2): ('satisfied', {'a': True, 'b': False, 'c': False, 'd': False}),
+    (2, 3): ('satisfied', {'a': False, 'b': False, 'c': False, 'd': True}),
+    (3, 0): ('satisfied', {'a': False, 'b': False, 'c': False, 'd': True}),
+    (3, 1): ('satisfied', {'a': True, 'b': True, 'c': True, 'd': False}),
+    (3, 2): ('satisfied', {'a': True, 'b': False, 'c': False, 'd': False}),
+    (3, 3): ('satisfied', {'a': False, 'b': False, 'c': False, 'd': True}),
+    (5, 0): ('violated', None),
+    (5, 1): ('satisfied', {'a': True, 'b': True, 'c': True, 'd': False}),
+    (5, 2): ('satisfied', {'a': True, 'b': False, 'c': False, 'd': False}),
+    (5, 3): ('violated', None),
+    (8, 0): ('satisfied', {'a': False, 'b': False, 'c': False, 'd': True}),
+    (8, 1): ('satisfied', {'a': True, 'b': True, 'c': True, 'd': False}),
+    (8, 2): ('violated', None),
+    (8, 3): ('satisfied', {'a': False, 'b': False, 'c': False, 'd': False}),
+    (12, 0): ('satisfied', {'a': False, 'b': False, 'c': False, 'd': False}),
+    (12, 1): ('satisfied', {'a': True, 'b': True, 'c': True, 'd': False}),
+    (12, 2): ('violated', None),
+    (12, 3): ('satisfied', {'a': False, 'b': False, 'c': False, 'd': False}),
+}
+
+
+class TestIffChains:
+    """`<->` repeats both of its sides, so a chain of n terms is a tree of
+    2^n paths over shared subterms; each walk visits a subterm once."""
+
+    @pytest.mark.parametrize("terms,seed", sorted(IFF_PINNED))
+    def test_short_chains_keep_their_answers(self, terms, seed):
+        req = parse_requirement(iff_chain(terms, seed), SCHEMA)
+        report = qos_check(independent_profile(), req, k=2_000, rng=0)
+        assert (report.verdict, report.witness) == IFF_PINNED[terms, seed]
+
+    def test_forty_terms_check_quickly(self):
+        terms = ["a", "b", f"P[{BOX}] in [0.1, _]", "!c", "d"] * 8
+        t0 = time.perf_counter()
+        req = parse_requirement("vars a b c d ; " + " <-> ".join(terms), SCHEMA)
+        report = qos_check(independent_profile(), req, k=2_000, rng=0)
+        (constraint,) = collect_constraints(req.root)
+        truth = {constraint.structural_key(): report.constraint_table[0].truth}
+        holds = evaluate(req.root, report.witness, truth)
+        assert time.perf_counter() - t0 < 2.0
+        assert report.verdict == "satisfied" and holds
+
+
 class TestConstraintSubstitution:
     def test_truths_substituted(self):
         req = parse_requirement(f"vars p ; p <-> P[{BOX}] in [0.6, _]", SCHEMA)
