@@ -132,6 +132,13 @@ def select(entries, req: QoSRequirement, k: int = DEFAULT_SAMPLES,
     (descending), then service_id. Each service gets its own seed derived
     from (seed, service_id), so adding or removing services never perturbs
     the other checks.
+
+    A service's seed does not depend on the requirement, so selects with
+    one seed and k over the same entries, in one process, integrate each
+    (service, region, substream) once: `evaluate_constraint` keeps each
+    profile's estimates for its latest (seed, k) only, and a select with
+    another seed or k replaces them. The result is byte-identical to a
+    select in a fresh process.
     """
     if not entries:
         raise BrokerError("repository is empty")

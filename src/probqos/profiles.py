@@ -140,7 +140,12 @@ class GammaMarginal(Marginal):
 # ---------------------------------------------------------------------------
 
 class QoSProfile(ABC):
-    """Evaluable, sampleable joint PDF over the schema's attribute vector."""
+    """Evaluable, sampleable joint PDF over the schema's attribute vector.
+
+    A profile is immutable after construction: its density never changes,
+    so `requirements.evaluate_constraint` may keep the integrals it
+    computed for a profile object and reuse them.
+    """
 
     schema: AttributeSchema
 

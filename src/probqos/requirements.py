@@ -3,7 +3,8 @@
 Parses textual requirements (Boolean combinations of probability-bound
 constraints over linear-inequality regions), evaluates each distinct
 constraint once by Monte Carlo integration, substitutes the truth values
-into the formula and settles what remains with the DPLL solver.
+into the formula and settles what remains with the DPLL solver. A
+profile's integrals for one seed are kept for the checks that follow.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +107,8 @@ class QoSRequirement:
 
 
 def _balanced(operands: list, combine) -> Node:
-    """Join a chain's operands, in order, as a tree of depth log2(len).
+    """Join the operands of a chain of one associative operator (``||``,
+    ``&&`` or ``<->``), in order, as a tree of depth log2(len).
 
     Splitting at (len + 1) // 2 keeps chains of up to three operands
     left-folded, and the leaf order, and with it the constraint order, is
@@ -145,11 +148,11 @@ class _Parser:
     # -- expression levels -------------------------------------------------
 
     def parse_iff(self) -> Node:
-        left = self.parse_implies()
+        operands = [self.parse_implies()]
         while self.peek().text == "<->":
             self.next()
-            left = iff(left, self.parse_implies())
-        return left
+            operands.append(self.parse_implies())
+        return _balanced(operands, iff)
 
     def parse_implies(self) -> Node:
         left = self.parse_or()
@@ -427,6 +430,12 @@ def _decide(estimate: float, std_error: float, c: QoSConstraint, z: float):
     return None
 
 
+# profile -> ((seed, k), {(region structural key, stream id): (value,
+# std_error)}), see `evaluate_constraint`; a dropped profile takes its
+# entries with it
+_INTEGRALS = weakref.WeakKeyDictionary()
+
+
 def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
                         rng: "RngStream | int", confidence_z: float = 3.0):
     """Integrate the region probability and compare it with the bounds.
@@ -434,12 +443,36 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
     Returns (truth, estimate, std_error); truth is `_decide` at confidence_z,
     None when the band straddles a bound. Vacuous [0, 1] bounds need no
     integration and give (True, 1.0, 0.0).
+
+    `integrate_uniform` is a pure function of (profile, region, k, stream):
+    profiles are immutable, and the estimate does not depend on the core
+    count or the chunk size. So the estimate and its standard error are
+    kept per profile, keyed by the region's structural key and the stream's
+    id, and a repeated call, as from select's checks of several
+    requirements with one seed, returns them without integrating again.
+    Each profile keeps the entries of one (seed, k) only: a call with
+    another seed or k replaces them. The memo lives in this process, so it
+    helps repeated calls in one process only. The truth is always decided
+    afresh, as the bounds and confidence_z are not part of the key.
     """
     if constraint.p_min == 0.0 and constraint.p_max == 1.0:
         return True, 1.0, 0.0
-    est = integrate_uniform(profile, constraint.region, k, rng)
-    truth = _decide(est.value, est.std_error, constraint, confidence_z)
-    return truth, est.value, est.std_error
+    stream = as_stream(rng)
+    run = (stream.seed, k)
+    # threads may replace a profile's entries while others fill them; a
+    # dict only ever holds entries of its own run, so a race costs an
+    # integration, never a wrong answer
+    stored_run, integrals = _INTEGRALS.get(profile, (None, None))
+    if stored_run != run:
+        integrals = {}
+        _INTEGRALS[profile] = (run, integrals)
+    key = (constraint.region.structural_key(), stream.stream_id)
+    if key not in integrals:
+        est = integrate_uniform(profile, constraint.region, k, stream)
+        integrals[key] = (est.value, est.std_error)
+    value, std_error = integrals[key]
+    truth = _decide(value, std_error, constraint, confidence_z)
+    return truth, value, std_error
 
 
 def _margin(estimate: float, std_error: float, c: QoSConstraint,
@@ -466,6 +499,12 @@ def qos_check(profile: QoSProfile, req: QoSRequirement, k: int = DEFAULT_SAMPLES
     (`_decide` at z = 0), and the verdict is "indeterminate" when some other
     truth assignment of such constraints changes the SAT outcome. At
     confidence_z = 0 every constraint is decided on its point estimate.
+
+    The integrals come through `evaluate_constraint`, whose memo keeps each
+    profile's estimates for one (seed, k), keyed by region and substream:
+    a later check in this process on the same profile, seed and k
+    integrates only the (region, substream) pairs not seen before, and its
+    report is the one a fresh process would give.
     """
     if not (math.isfinite(confidence_z) and confidence_z >= 0.0):
         raise ValueError(f"confidence_z must be finite and >= 0, got {confidence_z}")

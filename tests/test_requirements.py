@@ -1,7 +1,12 @@
+import gc
 import itertools
+import json
 import math
 import random
+import sys
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -31,8 +36,16 @@ from probqos.reqast import (
     iff,
     implies,
 )
+from probqos import requirements
 from probqos.requirements import RequirementSyntaxError
-from probqos.reference import SCHEMA, bad_profile, independent_profile
+from probqos.reference import (
+    R_BAD_TEXT,
+    R_GOOD_TEXT,
+    SCHEMA,
+    bad_profile,
+    independent_profile,
+)
+from probqos.serialize import profile_from_dict
 from probqos.sat import collect_prop_vars
 
 BOX = "60 <= TP && TP <= 100 && 0 <= RT && RT <= 300"
@@ -148,9 +161,10 @@ def tree_depth(node) -> int:
 
 
 class TestFlatChains:
-    """`&&` and `||` chains parse to balanced trees in the chain's order."""
+    """`&&`, `||` and `<->` chains parse to balanced trees in the chain's
+    order."""
 
-    @pytest.mark.parametrize("op", ["&&", "||"])
+    @pytest.mark.parametrize("op", ["&&", "||", "<->"])
     def test_short_chains_keep_the_left_folded_tree(self, op):
         for operands in (["a", "b"], ["a", "!b", "c"]):
             chain = parse_requirement("vars a b c ; " + f" {op} ".join(operands), SCHEMA)
@@ -170,6 +184,16 @@ class TestFlatChains:
         req = parse_requirement("vars p ; " + f" {op} ".join(terms), SCHEMA)
         report = qos_check(independent_profile(), req, k=2_000, rng=0)
         assert report.verdict == verdict
+
+    def test_long_iff_chain_checks(self):
+        # a left fold nests about five levels per term: 400 terms overflowed
+        # the recursion limit in the formula walks
+        names = [f"v{i}" for i in range(400)]
+        text = "vars " + " ".join(names) + " ; " + " <-> ".join(names)
+        req = parse_requirement(text, SCHEMA)
+        report = qos_check(independent_profile(), req, k=2_000, rng=0)
+        assert report.verdict == "satisfied"
+        assert evaluate(req.root, report.witness, {})
 
     def test_mixed_chain_matches_left_fold(self):
         bands = ["[0.1, _]", "[_, 0.2]", "[0.5, _]", "[0.1, 0.2]", "[_, 0.9]"]
@@ -490,3 +514,144 @@ class TestDecisionRule:
             (0.0, 0.0), (1.0, 0.0)]
         assert [row.margin for row in report.constraint_table] == [
             pytest.approx(0.3), 1.0]
+
+
+class TestIntegralMemo:
+    """A profile's integrals are kept for its latest (seed, k) and reused by
+    any later check that repeats the (region, substream)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        integrate = requirements.integrate_uniform
+
+        def counting(profile, region, k, rng):
+            calls.append((region.structural_key(), k, rng))
+            return integrate(profile, region, k, rng)
+
+        monkeypatch.setattr(requirements, "integrate_uniform", counting)
+        return calls
+
+    def test_select_style_rounds_integrate_each_region_once(self, calls, fixtures_dir):
+        doc = json.loads((fixtures_dir / "profiles" / "service_a.json").read_text())
+        good_min = parse_requirement(f"P[{R_GOOD_TEXT}] in [0.6, _]", SCHEMA)
+        conjunction = parse_requirement(
+            f"P[{R_GOOD_TEXT}] in [0.6, _] && P[{R_BAD_TEXT}] in [_, 0.3]", SCHEMA)
+        profile = profile_from_dict(doc)
+        stream = RngStream(11)
+        first = qos_check(profile, good_min, k=20_000, rng=stream)
+        second = qos_check(profile, conjunction, k=20_000, rng=stream)
+        # the good region on substream 0 is integrated once for both checks
+        assert len(calls) == 2
+        fresh = [qos_check(profile_from_dict(doc), req, k=20_000, rng=stream)
+                 for req in (good_min, conjunction)]
+        assert len(calls) == 2 + 3
+        assert [first.to_dict(), second.to_dict()] == [r.to_dict() for r in fresh]
+
+    @pytest.mark.parametrize("change", ["seed", "k", "region", "index"])
+    def test_any_other_input_integrates_again(self, calls, change):
+        box = parse_region(BOX, SCHEMA)
+        profile = independent_profile()
+        evaluate_constraint(QoSConstraint(box, 0.1, 0.2), profile, 4_000,
+                            RngStream(3).substream(0))
+        region, k, stream = box, 4_000, RngStream(3).substream(0)
+        if change == "seed":
+            stream = RngStream(4).substream(0)
+        elif change == "k":
+            k = 4_001
+        elif change == "region":
+            region = parse_region(R_GOOD_TEXT, SCHEMA)
+        else:
+            stream = RngStream(3).substream(1)
+        evaluate_constraint(QoSConstraint(region, 0.1, 0.2), profile, k, stream)
+        assert len(calls) == 2
+
+    def test_bounds_and_z_are_decided_afresh(self, calls):
+        box = parse_region(BOX, SCHEMA)
+        profile = independent_profile()
+        stream = RngStream(2)
+        truth, est, se = evaluate_constraint(QoSConstraint(box, 0.1, 0.2), profile,
+                                             100_000, stream)
+        assert truth is True
+        band = (est - 0.5 * se, est + 0.5 * se)
+        again = evaluate_constraint(QoSConstraint(box, band[1], 1.0), profile,
+                                    100_000, stream)
+        assert again == (None, est, se)
+        narrow = evaluate_constraint(QoSConstraint(box, band[1], 1.0), profile,
+                                     100_000, stream, confidence_z=0.25)
+        assert narrow == (False, est, se)
+        assert len(calls) == 1
+
+    def test_vacuous_bounds_store_nothing(self, calls):
+        profile = independent_profile()
+        evaluate_constraint(QoSConstraint(parse_region(BOX, SCHEMA)), profile, 1_000, 0)
+        assert calls == [] and profile not in requirements._INTEGRALS
+
+    def test_one_seed_and_k_per_profile(self, calls):
+        box = parse_region(BOX, SCHEMA)
+        good = parse_region(R_GOOD_TEXT, SCHEMA)
+        profile = independent_profile()
+        for seed in (1, 2):
+            for region in (box, good):
+                evaluate_constraint(QoSConstraint(region, 0.1, 0.2), profile, 2_000,
+                                    RngStream(seed))
+        run, integrals = requirements._INTEGRALS[profile]
+        assert run == (2, 2_000) and len(integrals) == 2
+        evaluate_constraint(QoSConstraint(box, 0.1, 0.2), profile, 2_000, RngStream(1))
+        assert len(calls) == 5
+        evaluate_constraint(QoSConstraint(box, 0.1, 0.2), profile, 3_000, RngStream(1))
+        assert len(calls) == 6
+        run, integrals = requirements._INTEGRALS[profile]
+        assert run == (1, 3_000) and len(integrals) == 1
+
+    def test_dropped_profile_takes_its_entries(self):
+        profile = independent_profile()
+        evaluate_constraint(QoSConstraint(parse_region(BOX, SCHEMA), 0.1, 0.2), profile,
+                            2_000, RngStream(0))
+        ref = weakref.ref(profile)
+        gc.collect()
+        size = len(requirements._INTEGRALS)
+        assert profile in requirements._INTEGRALS
+        del profile
+        gc.collect()
+        assert ref() is None
+        assert len(requirements._INTEGRALS) == size - 1
+
+    def test_threads_sharing_a_profile_get_fresh_answers(self):
+        # four threads share one (seed, k) and mostly hit the memo, while
+        # two others keep replacing its entries with those of another run
+        regions = [parse_region(BOX, SCHEMA), parse_region(R_GOOD_TEXT, SCHEMA)]
+        runs = [(1, 2_000)] * 4 + [(2, 2_000), (1, 2_001)]
+        keys = [(region, index) for region in regions for index in (0, 1)]
+
+        def evaluate(profile, run, key):
+            (seed, k), (region, index) = run, key
+            return evaluate_constraint(QoSConstraint(region, 0.1, 0.2), profile, k,
+                                       RngStream(seed).substream(index))
+
+        expected = {(run, j): evaluate(independent_profile(), run, key)
+                    for run in set(runs) for j, key in enumerate(keys)}
+        profile = independent_profile()
+        wrong = []
+
+        def worker(run):
+            for step in range(30 * len(keys)):
+                j = step % len(keys)
+                got = evaluate(profile, run, keys[j])
+                if got != expected[run, j]:
+                    wrong.append((run, j, got))
+                if run != runs[0]:
+                    time.sleep(0.002)  # let the shared run's threads read
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(run,)) for run in runs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
