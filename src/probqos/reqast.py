@@ -121,29 +121,33 @@ def evaluate(node: Node, valuation: dict, constraint_truth) -> bool:
     return value(node)
 
 
-def collect_constraints(node: Node) -> list:
-    """Distinct constraints in first-occurrence (depth-first) order.
+def nodes(root: Node):
+    """Each distinct node of the formula once, in left-first preorder.
 
-    A shared subterm is walked once: its constraints were all seen on its
-    first visit."""
-    seen = {}
-    order = []
+    A subterm shared by several parents, as the two halves of an expanded
+    `<->` are, is yielded on its first visit only. The walk keeps its own
+    stack, so a deep formula cannot overflow the recursion limit; marking
+    a node when it is popped gives the order of the recursive walk.
+    """
     visited = set()
-
-    def walk(cur: Node):
+    stack = [root]
+    while stack:
+        cur = stack.pop()
         if id(cur) in visited:
-            return
+            continue
         visited.add(id(cur))
-        if isinstance(cur, Constraint):
-            key = cur.constraint.structural_key()
-            if key not in seen:
-                seen[key] = cur.constraint
-                order.append(cur.constraint)
-        elif isinstance(cur, Not):
-            walk(cur.child)
+        yield cur
+        if isinstance(cur, Not):
+            stack.append(cur.child)
         elif isinstance(cur, Or):
-            walk(cur.left)
-            walk(cur.right)
+            stack.append(cur.right)
+            stack.append(cur.left)
 
-    walk(node)
-    return order
+
+def collect_constraints(node: Node) -> list:
+    """Distinct constraints in first-occurrence (depth-first) order."""
+    seen = {}
+    for cur in nodes(node):
+        if isinstance(cur, Constraint):
+            seen.setdefault(cur.constraint.structural_key(), cur.constraint)
+    return list(seen.values())

@@ -128,7 +128,6 @@ class _Parser:
         self.i = 0
         self.schema = schema
         self.declared = declared
-        self.seen_vars: set = set()
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -145,14 +144,26 @@ class _Parser:
                                          tok.pos)
         return tok
 
+    def operands(self, op: str, parse) -> list:
+        """The operands of a chain `parse (op parse)*`, in order."""
+        out = [parse()]
+        while self.peek().text == op:
+            self.next()
+            out.append(parse())
+        return out
+
+    def end(self, result):
+        """`result`, once nothing but the end of input is left."""
+        tail = self.peek()
+        if tail.kind != "eof":
+            raise RequirementSyntaxError(f"unexpected trailing input {tail.text!r}",
+                                         tail.pos)
+        return result
+
     # -- expression levels -------------------------------------------------
 
     def parse_iff(self) -> Node:
-        operands = [self.parse_implies()]
-        while self.peek().text == "<->":
-            self.next()
-            operands.append(self.parse_implies())
-        return _balanced(operands, iff)
+        return _balanced(self.operands("<->", self.parse_implies), iff)
 
     def parse_implies(self) -> Node:
         left = self.parse_or()
@@ -162,18 +173,10 @@ class _Parser:
         return left
 
     def parse_or(self) -> Node:
-        operands = [self.parse_and()]
-        while self.peek().text == "||":
-            self.next()
-            operands.append(self.parse_and())
-        return _balanced(operands, Or)
+        return _balanced(self.operands("||", self.parse_and), Or)
 
     def parse_and(self) -> Node:
-        operands = [self.parse_unary()]
-        while self.peek().text == "&&":
-            self.next()
-            operands.append(self.parse_unary())
-        return _balanced(operands, and_)
+        return _balanced(self.operands("&&", self.parse_unary), and_)
 
     def parse_unary(self) -> Node:
         if self.peek().text == "!":
@@ -204,7 +207,6 @@ class _Parser:
             if self.declared is not None and tok.text not in self.declared:
                 raise RequirementSyntaxError(
                     f"undeclared propositional variable {tok.text!r}", tok.pos)
-            self.seen_vars.add(tok.text)
             return PropVar(tok.text)
         raise RequirementSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
 
@@ -277,16 +279,7 @@ def _parse_inequality(p: _Parser):
 
 
 def _parse_region_body(p: _Parser) -> HPolytope:
-    rows = []
-    bounds = []
-    row, bnd = _parse_inequality(p)
-    rows.append(row)
-    bounds.append(bnd)
-    while p.peek().text == "&&":
-        p.next()
-        row, bnd = _parse_inequality(p)
-        rows.append(row)
-        bounds.append(bnd)
+    rows, bounds = zip(*p.operands("&&", lambda: _parse_inequality(p)))
     return HPolytope(np.array(rows), np.array(bounds), p.schema.names)
 
 
@@ -343,24 +336,16 @@ def parse_requirement(text: str, schema: AttributeSchema) -> QoSRequirement:
         declared = frozenset(names)
         tokens = tokens[i + 1:]
     parser = _Parser(tokens, schema, declared)
-    root = parser.parse_iff()
-    tail = parser.peek()
-    if tail.kind != "eof":
-        raise RequirementSyntaxError(f"unexpected trailing input {tail.text!r}",
-                                     tail.pos)
-    prop_vars = tuple(sorted(declared if declared is not None else parser.seen_vars))
+    root = parser.end(parser.parse_iff())
+    prop_vars = tuple(sorted(declared if declared is not None
+                             else sat.collect_prop_vars(root)))
     return QoSRequirement(root=root, prop_vars=prop_vars, source=text)
 
 
 def parse_region(text: str, schema: AttributeSchema) -> HPolytope:
     """Parse a bare region: a conjunction of linear inequalities."""
     parser = _Parser(_tokenize(text), schema, None)
-    region = _parse_region_body(parser)
-    tail = parser.peek()
-    if tail.kind != "eof":
-        raise RequirementSyntaxError(f"unexpected trailing input {tail.text!r}",
-                                     tail.pos)
-    return region
+    return parser.end(_parse_region_body(parser))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .geometry import HPolytope, analytic_center
+from .geometry import HPolytope, analytic_center, box_pass
 from .rng import RngStream, as_stream
 
 log = logging.getLogger(__name__)
@@ -41,36 +41,28 @@ class ThinRegionError(Exception):
 def rejection_sample(poly: HPolytope, k: int, rng: "RngStream | int") -> np.ndarray:
     """k i.i.d. uniform points in the polytope, by bounding-box rejection.
 
-    Exact uniformity (no MCMC bias). Proposals are tested against the rows
-    the box does not imply (`HPolytope.box_rows`). Aborts with
-    ThinRegionError after 10^6 consecutive rejected proposals.
+    Exact uniformity (no MCMC bias). The points are the first k hits, in
+    draw order, of `box_pass`es of min(max(2k, 1024), 262144) proposals
+    each, pass j on substream j of `rng`. Aborts with ThinRegionError once
+    10^6 proposals in whole consecutive passes have missed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    gen = as_stream(rng).generator()
-    box = poly.bounding_box
-    n = poly.dim
+    stream = as_stream(rng)
     batch = int(min(max(2 * k, 1024), 262_144))
-    out = np.empty((k, n))
+    parts = []
     got = 0
-    consecutive = 0
+    missed = 0
     while got < k:
-        pts = gen.uniform(box.lower, box.upper, size=(batch, n))
-        mask = poly.contains_box_points(pts)
-        hits = pts[mask]
-        if hits.shape[0] == 0:
-            consecutive += batch
-        else:
-            idx = np.nonzero(mask)[0]
-            consecutive = batch - 1 - int(idx[-1])
-            take = min(hits.shape[0], k - got)
-            out[got:got + take] = hits[:take]
-            got += take
-        if consecutive >= MAX_CONSECUTIVE_REJECTS:
+        hits, pts = box_pass(poly, batch, stream.substream(len(parts)), np.copy)
+        parts.append(pts)
+        got += hits
+        missed = missed + batch if hits == 0 else 0
+        if missed >= MAX_CONSECUTIVE_REJECTS:
             raise ThinRegionError(
                 "acceptance rate collapsed; use dikin_walk or reformulate the region"
             )
-    return out
+    return np.concatenate(parts)[:k]
 
 
 def _barrier_cholesky(A: np.ndarray, b: np.ndarray, x: np.ndarray):

@@ -9,7 +9,8 @@ each assignment again folded in as a constant.
 
 from __future__ import annotations
 
-from .reqast import Bottom, Constraint, Node, Not, Or, PropVar, RequirementError, Top
+from .reqast import (Bottom, Constraint, Node, Not, Or, PropVar, RequirementError, Top,
+                     nodes)
 
 
 def _fold_constants(node: Node, constraint_truth, valuation=None) -> Node:
@@ -64,22 +65,7 @@ def _fold_constants(node: Node, constraint_truth, valuation=None) -> Node:
 
 
 def collect_prop_vars(node: Node) -> set:
-    out: set = set()
-    visited = set()
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if id(cur) in visited:
-            continue
-        visited.add(id(cur))
-        if isinstance(cur, PropVar):
-            out.add(cur.name)
-        elif isinstance(cur, Not):
-            stack.append(cur.child)
-        elif isinstance(cur, Or):
-            stack.append(cur.left)
-            stack.append(cur.right)
-    return out
+    return {cur.name for cur in nodes(node) if isinstance(cur, PropVar)}
 
 
 def _forced(node: Node, value: bool = True, visited=None):
@@ -100,22 +86,30 @@ def _forced(node: Node, value: bool = True, visited=None):
         yield from _forced(node.right, False, visited)
 
 
-def _dpll(node: Node, valuation: dict):
-    """A valuation extending `valuation` that makes the folded formula true,
-    or None. A variable forced both ways folds the formula to Bottom."""
-    while not isinstance(node, (Top, Bottom)):
-        units = dict(_forced(node))
-        if not units:
-            name = min(collect_prop_vars(node))
-            for value in (True, False):
-                found = _dpll(_fold_constants(node, None, {name: value}),
-                              {**valuation, name: value})
-                if found is not None:
-                    return found
-            return None
-        valuation = {**valuation, **units}
-        node = _fold_constants(node, None, units)
-    return valuation if isinstance(node, Top) else None
+def _dpll(formula: Node, constraint_truth):
+    """A valuation that makes the formula true, or None. A variable forced
+    both ways folds the formula to Bottom.
+
+    Each split tries `name = True` first and keeps the untried
+    `name = False` branch on a list; a dead end resumes the branch kept
+    last. That is the order, and so the model, of a depth-first recursion,
+    without a call per split."""
+    branches = [(formula, {}, {})]
+    while branches:
+        node, valuation, units = branches.pop()
+        while True:
+            valuation = {**valuation, **units}
+            node = _fold_constants(node, constraint_truth, units)
+            if isinstance(node, (Top, Bottom)):
+                break
+            units = dict(_forced(node))
+            if not units:
+                name = min(collect_prop_vars(node))
+                branches.append((node, valuation, {name: False}))
+                units = {name: True}
+        if isinstance(node, Top):
+            return valuation
+    return None
 
 
 def dpll_sat(formula: Node, constraint_truth=None):
@@ -130,7 +124,7 @@ def dpll_sat(formula: Node, constraint_truth=None):
     variables to True; model is None when unsatisfiable.
     """
     names = sorted(collect_prop_vars(formula))
-    valuation = _dpll(_fold_constants(formula, constraint_truth), {})
+    valuation = _dpll(formula, constraint_truth)
     if valuation is None:
         return False, None
     return True, {name: valuation.get(name, True) for name in names}

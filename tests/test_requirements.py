@@ -35,6 +35,7 @@ from probqos.reqast import (
     evaluate,
     iff,
     implies,
+    nodes,
 )
 from probqos import requirements
 from probqos.requirements import RequirementSyntaxError
@@ -262,6 +263,26 @@ class TestSAT:
         assert dpll_sat(formula) == (False, None)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_long_iff_chain_needs_no_stack(self):
+        # the search keeps its untried branches on a list, so a 400-term
+        # chain of free variables, one split per variable, settles within
+        # 200 frames of this test's own stack depth
+        names = [f"v{i}" for i in range(400)]
+        text = "vars " + " ".join(names) + " ; " + " <-> ".join(names)
+        root = parse_requirement(text, SCHEMA).root
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 200)
+        try:
+            sat, model = dpll_sat(root)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sat and evaluate(root, model, {})
+
     def test_truth_table_agreement(self):
         rng = random.Random(2024)
         names = ["p", "q", "r", "s"]
@@ -307,6 +328,18 @@ IFF_PINNED = {
     (12, 2): ('violated', None),
     (12, 3): ('satisfied', {'a': False, 'b': False, 'c': False, 'd': False}),
 }
+
+
+class TestNodes:
+    def test_each_node_once_in_left_first_preorder(self):
+        a, b = PropVar("a"), PropVar("b")
+        root = iff(a, b)  # !(!(!a || b) || !(!b || a)), sharing a and b
+        left, right = root.child.left, root.child.right
+        expected = [root, root.child, left, left.child, left.child.left, a, b,
+                    right, right.child, right.child.left]
+        walked = list(nodes(root))
+        assert len(walked) == len(expected)
+        assert all(x is y for x, y in zip(walked, expected))
 
 
 class TestIffChains:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from probqos import HPolytope, RngStream, dikin_walk, rejection_sample
+from probqos.geometry import box_pass
 from probqos.sampling import ThinRegionError
 
 
@@ -34,6 +35,19 @@ class TestRejection:
         cov = np.cov(pts.T)
         assert cov[0, 0] == pytest.approx(1 / 18, rel=0.05)
         assert cov[0, 1] == pytest.approx(-1 / 36, rel=0.1)
+
+    @pytest.mark.parametrize("width,k", [(1.0, 300), (0.05, 700)])
+    def test_first_k_hits_of_box_passes(self, width, k):
+        # pass j draws max(2k, 1024) proposals on substream j; the sample is
+        # the first k hits in draw order (the slab of width 0.05 takes
+        # about ten passes)
+        poly, stream = thin_slab(width), RngStream(5)
+        passes = []
+        while sum(len(hits) for hits in passes) < k:
+            passes.append(box_pass(poly, max(2 * k, 1024), stream.substream(len(passes)),
+                                   np.copy)[1])
+        np.testing.assert_array_equal(rejection_sample(poly, k, stream),
+                                      np.concatenate(passes)[:k])
 
     def test_thin_region_gives_up(self):
         with pytest.raises(ThinRegionError):
