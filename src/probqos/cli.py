@@ -3,6 +3,7 @@
 Verbs: check (profile vs requirement), learn (fit a KDE profile from records),
 select (rank a repository against a requirement), integrate (region
 probability and convergence scan), volume (polytope volume estimate).
+Each verb prints one JSON document on stdout; errors go to stderr.
 
 Exit codes: 0 satisfied / success, 1 violated / nothing selected,
 2 indeterminate, 10 malformed input or usage, 11 schema mismatch, 12 unbounded
@@ -29,7 +30,6 @@ from .integrate import (
     integrate_uniform,
 )
 from .learning import (
-    KERNELS,
     LearningError,
     QoSRecordSet,
     bandwidth_scott,
@@ -37,7 +37,7 @@ from .learning import (
     fit_kde_cv,
     KDEProfile,
 )
-from .profiles import ProfileError
+from .profiles import AttributeSchema, ProfileError
 from .requirements import (
     RequirementError,
     RequirementSyntaxError,
@@ -83,13 +83,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
 
 
-_ALWAYS_JSON = "accepted and ignored: the output is always JSON"
-
-
 def _add_common(parser: argparse.ArgumentParser, samples: bool, z: bool,
                 seed_help: str = "master RNG seed",
-                samples_help: str = "Monte Carlo samples per estimate",
-                json_help: str = "machine-readable JSON output") -> None:
+                samples_help: str = "Monte Carlo samples per estimate") -> None:
     parser.add_argument("--seed", type=int, default=0, help=seed_help)
     if samples:
         parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
@@ -98,7 +94,8 @@ def _add_common(parser: argparse.ArgumentParser, samples: bool, z: bool,
         parser.add_argument("--z", type=float, default=3.0,
                             help="confidence band half-width in standard errors; "
                                  "0 decides on the point estimates")
-    parser.add_argument("--json", action="store_true", help=json_help)
+    parser.add_argument("--json", action="store_true",
+                        help="accepted and ignored: the output is always JSON")
 
 
 def _cmd_check(args) -> int:
@@ -122,30 +119,15 @@ def _cmd_select(args) -> int:
 def _cmd_learn(args) -> int:
     records = QoSRecordSet.from_csv(args.records)
     if args.cv:
-        grid = tuple(float(g) for g in args.grid.split(","))
-        profile = fit_kde_cv(records, kernels=tuple(args.kernel),
-                             bandwidth_grid=grid, folds=args.folds,
-                             rng=RngStream(args.seed))
+        profile = fit_kde_cv(records, rng=RngStream(args.seed))
     else:
         rule = bandwidth_scott if args.bandwidth == "scott" else bandwidth_silverman
         h = rule(records)
-        kernel = args.kernel[0]
-        profile = KDEProfile(records.schema, records, kernel, h,
-                             fit_info={"method": args.bandwidth, "kernel": kernel,
+        profile = KDEProfile(records.schema, records, "gaussian", h,
+                             fit_info={"method": args.bandwidth, "kernel": "gaussian",
                                        "bandwidths": [float(v) for v in h]})
     save_profile(profile, args.output)
-    info = dict(profile.fit_info)
-    info.update(records=records.m, output=args.output)
-    if args.json:
-        _emit(info)
-    else:
-        print(f"fitted kde profile -> {args.output}")
-        print(f"  records:    {records.m}")
-        print(f"  kernel:     {profile.kernel}")
-        print(f"  bandwidths: {[round(float(v), 6) for v in profile.bandwidths]}")
-        if "cv_score" in info:
-            print(f"  cv score:   {info['cv_score']:.6f} "
-                  f"(multiplier {info['multiplier']}, {info['folds']} folds)")
+    _emit({**profile.fit_info, "records": records.m, "output": args.output})
     return EXIT_SATISFIED
 
 
@@ -158,34 +140,20 @@ def _cmd_integrate(args) -> int:
             raise RequirementError("--scan requires --truth (a reference value)")
         seeds = [args.seed + i for i in range(args.scan_seeds)]
         scan = convergence_scan(profile, region, ks, seeds, args.truth)
-        doc = {"rows": [{"k": k, "mean_abs_error": e} for k, e in scan.rows],
-               "slope": scan.slope, "truth": args.truth}
-        if args.json:
-            _emit(doc)
-        else:
-            for k, e in scan.rows:
-                print(f"k={k:>10d}  mean |error| = {e:.3e}")
-            print(f"log-log slope: {scan.slope:+.3f}")
+        _emit({"rows": [{"k": k, "mean_abs_error": e} for k, e in scan.rows],
+               "slope": scan.slope, "truth": args.truth})
         return EXIT_SATISFIED
     est = integrate_uniform(profile, region, args.samples, RngStream(args.seed))
-    if args.json:
-        _emit({"estimate": est.value, "std_error": est.std_error, "k": est.k,
-               "volume_used": est.volume_used})
-    else:
-        print(f"P(X in R) = {est.value:.6f} +/- {est.std_error:.6f} (k={est.k})")
+    _emit({"estimate": est.value, "std_error": est.std_error, "k": est.k,
+           "volume_used": est.volume_used})
     return EXIT_SATISFIED
 
 
 def _cmd_volume(args) -> int:
-    from .profiles import AttributeSchema
-
     names = tuple(name.strip() for name in args.attributes.split(","))
     region = parse_region(args.region, AttributeSchema(names))
     volume, se = estimate_volume(region, args.samples, RngStream(args.seed))
-    if args.json:
-        _emit({"volume": volume, "std_error": se, "k": args.samples})
-    else:
-        print(f"volume = {volume:.6f} +/- {se:.6f} (k={args.samples})")
+    _emit({"volume": volume, "std_error": se, "k": args.samples})
     return EXIT_SATISFIED
 
 
@@ -199,27 +167,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide whether a profile meets a requirement")
     p.add_argument("profile", help="profile JSON path")
     p.add_argument("requirement", help="requirement text file")
-    _add_common(p, samples=True, z=True, json_help=_ALWAYS_JSON)
+    _add_common(p, samples=True, z=True)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("select", help="rank a repository against a requirement")
     p.add_argument("repository", help="directory of profile JSON files")
     p.add_argument("requirement", help="requirement text file")
-    _add_common(p, samples=True, z=True, json_help=_ALWAYS_JSON)
+    _add_common(p, samples=True, z=True)
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("learn", help="fit a KDE profile from a records CSV")
     p.add_argument("records", help="CSV with a header of attribute names")
     p.add_argument("-o", "--output", required=True, help="profile JSON to write")
     p.add_argument("--cv", action="store_true",
-                   help="cross-validate kernel and bandwidth scale")
+                   help="cross-validate the kernel (Gaussian or Laplace) and the "
+                        "Scott bandwidths' scale (0.25-4) over 5 folds")
     p.add_argument("--bandwidth", choices=("scott", "silverman"), default="scott",
-                   help="rule-of-thumb bandwidths (ignored with --cv)")
-    p.add_argument("--kernel", action="append", choices=sorted(KERNELS),
-                   help="kernel(s) to consider; repeatable with --cv")
-    p.add_argument("--folds", type=int, default=5, help="CV fold count")
-    p.add_argument("--grid", default="0.25,0.5,1.0,2.0,4.0",
-                   help="CV bandwidth-scale grid (comma-separated)")
+                   help="rule-of-thumb bandwidths for a Gaussian kernel "
+                        "(ignored with --cv)")
     _add_common(p, samples=False, z=False,
                 seed_help="seeds the --cv folds; the rule-of-thumb fit draws nothing")
     p.set_defaults(func=_cmd_learn)
@@ -252,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.verb == "learn" and args.kernel is None:
-        args.kernel = ["gaussian", "exponential"] if args.cv else ["gaussian"]
     try:
         return args.func(args)
     except RecursionError:

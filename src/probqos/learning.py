@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -116,12 +117,15 @@ class QoSRecordSet:
 # Kernels (normalized 1-D shapes; the product over axes forms the n-D kernel)
 # ---------------------------------------------------------------------------
 
-def _gaussian_cdf(u):
-    return special.ndtr(u)
+class _Kernel(NamedTuple):
+    """A unit-bandwidth shape kappa, written log kappa(u) = -distance(u / scale)
+    - log_norm so that log_density sums one distance per axis."""
 
-
-def _gaussian_noise(gen, size):
-    return gen.standard_normal(size)
+    distance: Callable  # numpy ufunc, applied in place
+    log_norm: float
+    scale: float
+    cdf: Callable
+    noise: Callable  # noise(gen, size=...) draws unit-bandwidth offsets
 
 
 def _exponential_cdf(u):
@@ -130,14 +134,11 @@ def _exponential_cdf(u):
     return np.where(u < 0.0, half_tail, 1.0 - half_tail)
 
 
-def _exponential_noise(gen, size):
-    return gen.laplace(0.0, 1.0, size)
-
-
-# name -> (cdf, unit-noise sampler); log_density evaluates the shapes itself
 KERNELS = {
-    "gaussian": (_gaussian_cdf, _gaussian_noise),
-    "exponential": (_exponential_cdf, _exponential_noise),
+    "gaussian": _Kernel(np.square, 0.5 * math.log(2.0 * math.pi), math.sqrt(2.0),
+                        special.ndtr, np.random.Generator.standard_normal),
+    "exponential": _Kernel(np.abs, math.log(2.0), 1.0,
+                           _exponential_cdf, np.random.Generator.laplace),
 }
 
 
@@ -177,19 +178,15 @@ class KDEProfile(QoSProfile):
         self.bandwidths.setflags(write=False)
         self.fit_info = dict(fit_info) if fit_info else {}
         # Evaluation coordinates: centred on the observation mean and divided
-        # by the bandwidths (times sqrt 2 for the Gaussian, so that the
-        # per-axis square is u^2 / 2). Row j of `_scaled_t` holds axis j of
-        # every observation, contiguous for the per-axis sweep.
-        if kernel == "gaussian":
-            self._distance, log_kernel_norm = np.square, 0.5 * math.log(2.0 * math.pi)
-            self._scale = math.sqrt(2.0) * self.bandwidths
-        else:
-            self._distance, log_kernel_norm = np.abs, math.log(2.0)
-            self._scale = self.bandwidths
+        # by the bandwidths times the kernel's scale. Row j of `_scaled_t`
+        # holds axis j of every observation, contiguous for the per-axis sweep.
+        shape = KERNELS[kernel]
+        self._distance = shape.distance
+        self._scale = shape.scale * self.bandwidths
         self._centre = obs.mean(axis=0)
         self._scaled_t = np.ascontiguousarray(((obs - self._centre) / self._scale).T)
         self._log_norm = (math.log(obs.shape[0]) + float(np.sum(np.log(h)))
-                          + schema.dim * log_kernel_norm)
+                          + schema.dim * shape.log_norm)
 
     @property
     def m(self) -> int:
@@ -249,15 +246,15 @@ class KDEProfile(QoSProfile):
         if k < 1:
             raise ValueError("k must be >= 1")
         gen = as_stream(rng).generator()
-        _, noise = KERNELS[self.kernel]
         idx = gen.integers(self.m, size=k)
-        return self.observations[idx] + noise(gen, (k, self.dim)) * self.bandwidths
+        noise = KERNELS[self.kernel].noise(gen, size=(k, self.dim))
+        return self.observations[idx] + noise * self.bandwidths
 
     def box_mass(self, box: Box) -> float:
         """Exact P(X in box): kernel CDFs factor over axes and observations."""
         if box.dim != self.dim:
             raise DimensionMismatchError("box dimension must match the profile")
-        kernel_cdf, _ = KERNELS[self.kernel]
+        kernel_cdf = KERNELS[self.kernel].cdf
         upper = (box.upper - self.observations) / self.bandwidths
         lower = (box.lower - self.observations) / self.bandwidths
         per_axis = kernel_cdf(upper) - kernel_cdf(lower)

@@ -34,7 +34,6 @@ from .reqast import (
     and_,
     collect_constraints,
     iff,
-    implies,
 )
 from .rng import RngStream, as_stream
 
@@ -108,7 +107,8 @@ class QoSRequirement:
 
 def _balanced(operands: list, combine) -> Node:
     """Join the operands of a chain of one associative operator (``||``,
-    ``&&`` or ``<->``), in order, as a tree of depth log2(len).
+    ``&&`` or ``<->``, and ``->`` as a disjunction), in order, as a tree of
+    depth log2(len).
 
     Splitting at (len + 1) // 2 keeps chains of up to three operands
     left-folded, and the leaf order, and with it the constraint order, is
@@ -166,11 +166,10 @@ class _Parser:
         return _balanced(self.operands("<->", self.parse_implies), iff)
 
     def parse_implies(self) -> Node:
-        left = self.parse_or()
-        if self.peek().text == "->":
-            self.next()
-            return implies(left, self.parse_implies())
-        return left
+        # a -> b -> ... -> z is a -> (b -> (... -> z)), that is
+        # !a || !b || ... || z
+        *premises, conclusion = self.operands("->", self.parse_or)
+        return _balanced([Not(op) for op in premises] + [conclusion], Or)
 
     def parse_or(self) -> Node:
         return _balanced(self.operands("||", self.parse_and), Or)

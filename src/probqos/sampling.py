@@ -65,11 +65,9 @@ def rejection_sample(poly: HPolytope, k: int, rng: "RngStream | int") -> np.ndar
     return np.concatenate(parts)[:k]
 
 
-def _barrier_cholesky(A: np.ndarray, b: np.ndarray, x: np.ndarray):
-    """Cholesky factor and log-determinant of the local barrier Hessian."""
-    s = b - A @ x
-    if np.any(s <= 0.0):
-        raise np.linalg.LinAlgError("state on or outside the boundary")
+def _barrier_cholesky(A: np.ndarray, s: np.ndarray):
+    """Cholesky factor and log-determinant of the barrier Hessian at a
+    strictly interior point with slack s = b - A x."""
     W = A / s[:, None]
     H = W.T @ W
     L = np.linalg.cholesky(H)
@@ -98,7 +96,8 @@ def dikin_walk(poly: HPolytope, k: int, rng: "RngStream | int" = 0) -> np.ndarra
 
     center = analytic_center(poly)
     x = center.copy()
-    L, logdet = _barrier_cholesky(A, b, x)
+    L_center, logdet_center = _barrier_cholesky(A, b - A @ center)
+    L, logdet = L_center, logdet_center
 
     out = np.empty((k, n))
     got = 0
@@ -117,7 +116,7 @@ def dikin_walk(poly: HPolytope, k: int, rng: "RngStream | int" = 0) -> np.ndarra
             y = x + radius * np.linalg.solve(L.T, u)
             sy = b - A @ y
             if np.all(sy > 0.0):
-                Ly, logdet_y = _barrier_cholesky(A, b, y)
+                Ly, logdet_y = _barrier_cholesky(A, sy)
                 d = x - y
                 reverse_ok = float(np.sum((Ly.T @ d) ** 2)) <= radius * radius
                 if reverse_ok and gen.random() < math.exp(
@@ -126,8 +125,7 @@ def dikin_walk(poly: HPolytope, k: int, rng: "RngStream | int" = 0) -> np.ndarra
                     x, L, logdet = y, Ly, logdet_y
         except np.linalg.LinAlgError:
             restarts += 1
-            x = center.copy()
-            L, logdet = _barrier_cholesky(A, b, x)
+            x, L, logdet = center.copy(), L_center, logdet_center
         step += 1
         if step > DIKIN_BURN_IN and (step - DIKIN_BURN_IN) % DIKIN_THINNING == 0:
             out[got] = x

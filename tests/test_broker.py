@@ -334,6 +334,28 @@ class TestCLI:
         doc = json.loads(out)
         assert abs(doc["volume"] - 0.5) <= 3 * doc["std_error"] + 1e-12
 
+    @pytest.mark.parametrize("verb", ["learn", "integrate", "integrate-scan", "volume"])
+    def test_output_is_json_with_or_without_flag(self, capsys, tmp_path, fixtures_dir,
+                                                 verb):
+        profile = tmp_path / "p.json"
+        save_profile(independent_profile(), profile)
+        argv = {
+            "learn": ("learn", str(fixtures_dir / "records_xcorr_1000.csv"),
+                      "-o", str(tmp_path / "kde.json")),
+            "integrate": ("integrate", str(profile), "--region", BOX_TEXT,
+                          "--samples", "2000"),
+            "integrate-scan": ("integrate", str(profile), "--region", BOX_TEXT,
+                               "--scan", "--ks", "100,300,1000", "--scan-seeds", "2",
+                               "--truth", "0.16"),
+            "volume": ("volume", "--region", "0 <= x && 0 <= y && x + y <= 1",
+                       "--attributes", "x,y", "--samples", "2000"),
+        }[verb]
+        code, plain, _ = self.run(capsys, *argv)
+        code_json, flagged, _ = self.run(capsys, *argv, "--json")
+        assert (code, code_json) == (0, 0)
+        assert plain == flagged
+        assert isinstance(json.loads(plain), dict)
+
     @pytest.mark.parametrize("z", ["-500", "nan"])
     def test_check_z_validated(self, capsys, fixtures_dir, z):
         code, out, err = self.run(capsys, "check",
@@ -367,7 +389,7 @@ class TestCLI:
         assert (code, out) == (10, "")
         assert err.count("\n") == 1 and "too deeply" in err
 
-    @pytest.mark.parametrize("op", ["||", "&&"], ids=["or", "and"])
+    @pytest.mark.parametrize("op", ["||", "&&", "->"], ids=["or", "and", "implies"])
     def test_check_flat_chain(self, capsys, tmp_path, fixtures_dir, op):
         # a flat chain parses to a balanced tree, so its length is no depth
         req = tmp_path / "flat.qreq"
@@ -394,7 +416,7 @@ class TestCLI:
     @pytest.mark.parametrize("verb,present,absent", [
         ("check", {"--samples", "--z"}, set()),
         ("select", {"--samples", "--z"}, set()),
-        ("learn", set(), {"--samples", "--z"}),
+        ("learn", set(), {"--samples", "--z", "--kernel", "--folds", "--grid"}),
         ("integrate", {"--samples"}, {"--z"}),
         ("volume", {"--samples"}, {"--z"}),
     ])

@@ -162,8 +162,8 @@ def tree_depth(node) -> int:
 
 
 class TestFlatChains:
-    """`&&`, `||` and `<->` chains parse to balanced trees in the chain's
-    order."""
+    """`&&`, `||`, `<->` and `->` chains parse to balanced trees in the
+    chain's order."""
 
     @pytest.mark.parametrize("op", ["&&", "||", "<->"])
     def test_short_chains_keep_the_left_folded_tree(self, op):
@@ -172,15 +172,17 @@ class TestFlatChains:
             folded = parse_requirement("vars a b c ; " + left_folded(operands, op), SCHEMA)
             assert chain.root == folded.root
 
-    @pytest.mark.parametrize("op", ["&&", "||"])
+    @pytest.mark.parametrize("op", ["&&", "||", "->"])
     def test_long_chain_is_shallow(self, op):
         req = parse_requirement("vars p ; " + f" {op} ".join(["p"] * 2000), SCHEMA)
         # a left fold is 2000 levels deep for ||, three times that for &&
         assert tree_depth(req.root) <= 3 * 11 + 2
 
-    @pytest.mark.parametrize("op,verdict", [("&&", "violated"), ("||", "satisfied")])
+    @pytest.mark.parametrize("op,verdict", [("&&", "violated"), ("||", "satisfied"),
+                                            ("->", "satisfied")])
     def test_long_chain_checks(self, op, verdict):
-        # every other term is p, the rest !p: the && chain is unsatisfiable
+        # every other term is p, the rest !p: the && chain is unsatisfiable,
+        # and the -> chain, !p || !!p || ... || !p, is valid
         terms = ["p", "!p"] * 1000
         req = parse_requirement("vars p ; " + f" {op} ".join(terms), SCHEMA)
         report = qos_check(independent_profile(), req, k=2_000, rng=0)
