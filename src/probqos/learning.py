@@ -122,6 +122,7 @@ class _Kernel(NamedTuple):
     - log_norm so that log_density sums one distance per axis."""
 
     distance: Callable  # numpy ufunc, applied in place
+    degree: int  # distance(u / t) = distance(u) / t**degree
     log_norm: float
     scale: float
     cdf: Callable
@@ -135,9 +136,9 @@ def _exponential_cdf(u):
 
 
 KERNELS = {
-    "gaussian": _Kernel(np.square, 0.5 * math.log(2.0 * math.pi), math.sqrt(2.0),
+    "gaussian": _Kernel(np.square, 2, 0.5 * math.log(2.0 * math.pi), math.sqrt(2.0),
                         special.ndtr, np.random.Generator.standard_normal),
-    "exponential": _Kernel(np.abs, math.log(2.0), 1.0,
+    "exponential": _Kernel(np.abs, 1, math.log(2.0), 1.0,
                            _exponential_cdf, np.random.Generator.laplace),
 }
 
@@ -195,17 +196,13 @@ class KDEProfile(QoSProfile):
     def log_density(self, points: np.ndarray) -> np.ndarray:
         """Vectorized log f-hat, in blocks of rows without a (k, m, n) temporary.
 
-        Points and observations are centred on the observation mean and
-        divided by the bandwidths. For each block of rows, one (rows, m)
-        buffer accumulates D = sum_j d(x_j - o_j), one subtract/distance/add
-        sweep per axis, where d(u) = u^2 / 2 (Gaussian) or |u| (Laplace),
-        so log kernel = -D - const. The row log-sum-exp of -D is then taken
-        in place, shifted by the row minimum of D, so points far from every
-        observation keep a finite log density. Every step is elementwise or
-        a row reduction, so a row's value does not depend on the other rows
-        of the call or on where the block boundaries fall. A point with a
-        NaN coordinate gets NaN; any other point with an infinite coordinate
-        gets -inf (density 0).
+        `_shifted_blocks` gives each block's d_min - D, and the row sum of
+        its exp is taken in place, so log f = log sum exp(d_min - D) - d_min
+        - const and points far from every observation keep a finite log
+        density. Every step is elementwise or a row reduction, so a row's
+        value does not depend on the other rows of the call or on where the
+        block boundaries fall. A point with a NaN coordinate gets NaN; any
+        other point with an infinite coordinate gets -inf (density 0).
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
@@ -217,11 +214,28 @@ class KDEProfile(QoSProfile):
         if not finite.all():
             out[~finite] = np.where(np.isnan(pts[~finite]).any(axis=1), np.nan, -np.inf)
             pts = pts[finite]
+        log_sums = np.empty(pts.shape[0])
+        for rows, d, _, d_min in self._shifted_blocks(pts):
+            np.exp(d, out=d)
+            log_sums[rows] = np.log(d.sum(axis=1)) - d_min
+        out[finite] = log_sums - self._log_norm
+        return out
+
+    def _shifted_blocks(self, pts: np.ndarray):
+        """Yield (rows, d_min - D, spare, d_min) per block of the finite points.
+
+        Points and observations are centred on the observation mean and
+        divided by the bandwidths. For each block of rows, one (rows, m)
+        buffer accumulates D = sum_j d(x_j - o_j), one subtract/distance/add
+        sweep per axis, where d(u) = u^2 / 2 (Gaussian) or |u| (Laplace),
+        so log kernel = -D - const. D is then shifted in place by its row
+        minimum d_min. `spare` is a free buffer of the block's shape; both
+        buffers are reused for the next block.
+        """
         x = (pts - self._centre) / self._scale
         rows = max(_MAX_ELEMENTS // self.m, 1)
         buf = np.empty((min(rows, x.shape[0]), self.m))
         scratch = np.empty_like(buf)
-        log_sums = np.empty(x.shape[0])
         for lo in range(0, x.shape[0], rows):
             xb = x[lo:lo + rows]
             d, t = buf[:len(xb)], scratch[:len(xb)]
@@ -233,10 +247,7 @@ class KDEProfile(QoSProfile):
                 d += t
             d_min = d.min(axis=1)
             np.subtract(d_min[:, None], d, out=d)
-            np.exp(d, out=d)
-            log_sums[lo:lo + rows] = np.log(d.sum(axis=1)) - d_min
-        out[finite] = log_sums - self._log_norm
-        return out
+            yield slice(lo, lo + len(xb)), d, t, d_min
 
     def density(self, points):
         return np.exp(self.log_density(points))
@@ -307,9 +318,16 @@ def fit_kde_cv(records: QoSRecordSet,
     Every candidate is scored on the same seeded fold partition, so the
     selection is deterministic in (records, kernels, grid, folds, seed).
     Ties break toward the larger bandwidth multiplier (the smoother model).
+
+    Each (kernel, fold) runs the per-axis distance sweep once, at the Scott
+    bandwidths: at multiplier t every distance is D / t^p (p = 2 Gaussian,
+    1 Laplace), so with c = t^-p a held-out row scores log sum_j
+    exp((d_min - D_j) c) - d_min c - log_norm - n log t. The shift stays
+    exact at every t, because c > 0 keeps the nearest observation nearest
+    and its term is exp(0) = 1.
     """
     kernels = tuple(kernels)
-    grid = tuple(float(g) for g in bandwidth_grid)
+    grid = sorted(float(g) for g in bandwidth_grid)
     if not kernels:
         raise LearningError("need at least one kernel")
     if any(k not in KERNELS for k in kernels):
@@ -323,29 +341,38 @@ def fit_kde_cv(records: QoSRecordSet,
     gen = as_stream(rng).generator()
     order = gen.permutation(records.m)
     obs = records.observations
-    # (training, held-out) index arrays per fold, built once for every
-    # candidate; training keeps the permutation order
+    # (training, held-out) index arrays per fold; training keeps the
+    # permutation order
     splits = [(np.delete(order, np.s_[f::folds]), order[f::folds])
               for f in range(folds)]
+    log_mults = records.dim * np.log(grid)
 
-    best = None  # (score, multiplier, kernel, bandwidths)
+    best = None  # (score, multiplier, kernel)
     scores = {}
     for kernel in kernels:
-        for mult in sorted(grid):
-            h = base * mult
-            total = 0.0
-            for train, held in splits:
-                model = KDEProfile(records.schema, obs[train], kernel, h)
-                total += float(model.log_density(obs[held]).sum())
-            score = total / records.m
+        factors = [g ** -KERNELS[kernel].degree for g in grid]
+        totals = np.zeros(len(grid))
+        for train, held in splits:
+            model = KDEProfile(records.schema, obs[train], kernel, base)
+            log_sums = np.empty((len(grid), len(held)))
+            for rows, d, t, d_min in model._shifted_blocks(obs[held]):
+                for i, c in enumerate(factors):
+                    np.multiply(d, c, out=t)
+                    np.exp(t, out=t)
+                    log_sums[i, rows] = np.log(t.sum(axis=1)) - d_min * c
+            log_sums -= (model._log_norm + log_mults)[:, None]
+            totals += log_sums.sum(axis=1)
+        for mult, total in zip(grid, totals):
+            score = float(total) / records.m
             scores[(kernel, mult)] = score
             if best is None or score > best[0] or (score == best[0] and mult > best[1]):
-                best = (score, mult, kernel, h)
+                best = (score, mult, kernel)
 
-    score, mult, kernel, h = best
+    score, mult, kernel = best
     if not math.isfinite(score):
         raise LearningError("every candidate scored -inf held-out log-likelihood; "
                             "widen the bandwidth grid")
+    h = base * mult
     fit_info = {
         "method": "cv",
         "kernel": kernel,
@@ -353,7 +380,7 @@ def fit_kde_cv(records: QoSRecordSet,
         "bandwidths": [float(v) for v in h],
         "cv_score": score,
         "folds": folds,
-        "grid": list(sorted(grid)),
+        "grid": grid,
         "rule": "scott",
         "candidate_scores": {f"{k}:{m_}": s for (k, m_), s in sorted(scores.items())},
     }

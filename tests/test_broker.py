@@ -298,6 +298,15 @@ class TestCLI:
                               str(tmp_path / "out.json"))
         assert code == 10
 
+    def test_learn_cv_needs_five_records(self, capsys, tmp_path):
+        csv_path = tmp_path / "three.csv"
+        csv_path.write_text("TP,RT\n50,200\n51,210\n49,190\n")
+        code, _, err = self.run(capsys, "learn", str(csv_path), "-o",
+                                str(tmp_path / "out.json"), "--cv")
+        assert code == 10
+        assert "--cv needs at least 5 records, got 3" in err
+        assert "folds" not in err
+
     def test_integrate(self, capsys, tmp_path):
         profile = tmp_path / "p.json"
         save_profile(independent_profile(), profile)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from probqos import (
     AttributeSchema,
     Box,
+    CorrelatedTPRT,
     KDEProfile,
     QoSRecordSet,
     RngStream,
@@ -139,6 +141,53 @@ def direct_log_density(obs, h, kernel, x):
     return top + math.log(total) - math.log(len(obs)) - sum(math.log(hj) for hj in h)
 
 
+def blockwise_log_density(profile, pts):
+    """log f-hat of finite points by the block loop written out in one
+    piece, without `_shifted_blocks`: the reference `log_density` must
+    match bit for bit."""
+    x = (pts - profile._centre) / profile._scale
+    rows = max(learning._MAX_ELEMENTS // profile.m, 1)
+    log_sums = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], rows):
+        xb = x[lo:lo + rows]
+        d = np.subtract(xb[:, :1], profile._scaled_t[0])
+        profile._distance(d, out=d)
+        for j in range(1, profile.dim):
+            t = np.subtract(xb[:, j:j + 1], profile._scaled_t[j])
+            profile._distance(t, out=t)
+            d += t
+        d_min = d.min(axis=1)
+        np.subtract(d_min[:, None], d, out=d)
+        np.exp(d, out=d)
+        log_sums[lo:lo + rows] = np.log(d.sum(axis=1)) - d_min
+    return log_sums - profile._log_norm
+
+
+def brute_force_scores(records, seed, folds=5, grid=(0.25, 0.5, 1.0, 2.0, 4.0)):
+    """Held-out score per "kernel:multiplier", one KDE per candidate and fold,
+    on the fold partition `fit_kde_cv(records, rng=seed)` draws."""
+    order = RngStream(seed).generator().permutation(records.m)
+    base = bandwidth_scott(records)
+    obs = records.observations
+    scores = {}
+    for kernel in ("gaussian", "exponential"):
+        for mult in grid:
+            total = 0.0
+            for f in range(folds):
+                train, held = np.delete(order, np.s_[f::folds]), order[f::folds]
+                model = KDEProfile(records.schema, obs[train], kernel, base * mult)
+                total += float(model.log_density(obs[held]).sum())
+            scores[f"{kernel}:{mult}"] = total / records.m
+    return scores
+
+
+def brute_force_choice(scores):
+    """(kernel, multiplier) of the best score, ties to the larger multiplier."""
+    best = max(scores, key=lambda key: (scores[key], float(key.split(":")[1])))
+    kernel, mult = best.split(":")
+    return kernel, float(mult)
+
+
 class TestLogDensity:
     KERNELS = ["gaussian", "exponential"]
 
@@ -190,6 +239,16 @@ class TestLogDensity:
         alone = np.array([profile.log_density(pts[i:i + 1])[0] for i in range(len(pts))])
         assert np.array_equal(together, alone)
         assert np.array_equal(profile.log_density(pts[7:30]), together[7:30])
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("m", [7, 1000, 2049])
+    def test_bit_identical_to_unshared_sweep(self, kernel, m):
+        # 500 points span 8 blocks at m = 1000 and 17 at m = 2049
+        profile = self.profile(kernel, 2, m)
+        pts = self.points(profile, 500)
+        got = hashlib.sha256(profile.log_density(pts).tobytes()).hexdigest()
+        want = hashlib.sha256(blockwise_log_density(profile, pts).tobytes()).hexdigest()
+        assert got == want
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_non_finite_points(self, kernel):
@@ -283,6 +342,39 @@ class TestFitKDECV:
         assert profile.fit_info["multiplier"] == 1.0
         assert profile.fit_info["cv_score"] == pytest.approx(-10.816974072875215,
                                                              abs=1e-9)
+
+    @pytest.mark.parametrize("m", [7, 1000])
+    @pytest.mark.parametrize("grid", [(0.25, 0.5, 1.0, 2.0, 4.0), (0.3, 0.7, 1.0, 1.5, 3.0)])
+    def test_scores_match_brute_force(self, m, grid):
+        # m = 7 gives uneven folds (2, 2, 1, 1, 1); at m = 1000 a fold's 200
+        # held-out rows span 3 blocks of its 800 training records. Rescaling
+        # by the default grid's powers of two is exact; by the second, not.
+        records = gaussian_records(m, seed=13)
+        if m == 1000:
+            assert -(-200 // (learning._MAX_ELEMENTS // 800)) == 3
+        profile = fit_kde_cv(records, bandwidth_grid=grid, rng=14)
+        want = brute_force_scores(records, 14, grid=grid)
+        got = profile.fit_info["candidate_scores"]
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-12), key
+        assert (profile.kernel, profile.fit_info["multiplier"]) == brute_force_choice(want)
+
+    def test_fixture_selections_by_seed(self, fixtures_dir):
+        records = QoSRecordSet.from_csv(fixtures_dir / "records_xcorr_1000.csv")
+        fits = [fit_kde_cv(records, rng=seed) for seed in range(12)]
+        assert "".join(fit.kernel[0] for fit in fits) == "ggegggggeeeg"
+        assert [fit.fit_info["multiplier"] for fit in fits] == [1.0] * 12
+
+    def test_skewed_source_selections_match_brute_force(self):
+        # the correlated source with a skewed response time (alpha 1.5,
+        # mean RT 300), on which the fit picks the Laplace kernel
+        source = CorrelatedTPRT(50.0, 300.0, 1.5, 0.005, schema=SCHEMA)
+        for seed in range(20):
+            records = QoSRecordSet(SCHEMA, source.sample(1000, RngStream(100 + seed)))
+            profile = fit_kde_cv(records, rng=seed)
+            want = brute_force_choice(brute_force_scores(records, seed))
+            assert (profile.kernel, profile.fit_info["multiplier"]) == want, seed
 
     def test_metadata_recorded(self):
         profile = fit_kde_cv(gaussian_records(100), rng=0)
