@@ -5,8 +5,8 @@ requirement, with deterministic per-service seeds and margin-based ranking.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .integrate import DEFAULT_SAMPLES
 from .profiles import QoSProfile
@@ -28,8 +28,7 @@ class BrokerError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ServiceEntry:
+class ServiceEntry(NamedTuple):
     """One candidate service: its identifier and profile."""
 
     service_id: str
@@ -84,8 +83,7 @@ def requirement_hash(req: QoSRequirement) -> str:
 _VERDICT_RANK = {"satisfied": 0, "indeterminate": 1, "violated": 2}
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     """Ranked satisfying services, and every service's verdict."""
 
     ranked: tuple  # of (service_id, CheckReport)

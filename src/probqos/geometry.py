@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 import os
 import threading
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -185,16 +184,12 @@ def _lp_min(c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float = PIVOT_TOL)
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Box:
     """Axis-aligned box [lower, upper], the tight enclosure of a polytope."""
 
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
+    def __init__(self, lower, upper):
+        lo = np.asarray(lower, dtype=float)
+        hi = np.asarray(upper, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise DimensionMismatchError("box bounds must be equal-length vectors")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -203,8 +198,7 @@ class Box:
             raise GeometryError("box lower bound exceeds upper bound")
         lo.flags.writeable = False
         hi.flags.writeable = False
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        self.lower, self.upper = lo, hi
 
     @property
     def dim(self) -> int:

@@ -13,8 +13,7 @@ their uncertainty and converge at the dimension-independent 1/sqrt(k) rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,8 +34,7 @@ class SchemaMismatchError(Exception):
     """Region attribute names do not match the profile schema."""
 
 
-@dataclass(frozen=True)
-class IntegralEstimate:
+class IntegralEstimate(NamedTuple):
     value: float
     std_error: float
     k: int
@@ -105,8 +103,7 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
     return IntegralEstimate(value, std_error, k, volume)
 
 
-@dataclass(frozen=True)
-class ConvergenceScan:
+class ConvergenceScan(NamedTuple):
     """Per-k mean absolute error against a reference truth, plus log-log slope."""
 
     rows: tuple  # of (k, mean_abs_error)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,28 +43,24 @@ class LearningError(Exception):
 # Records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class QoSRecordSet:
     """m observed QoS vectors (rows) over the schema's attributes."""
 
-    schema: AttributeSchema
-    observations: np.ndarray
-
-    def __post_init__(self):
-        obs = np.asarray(self.observations, dtype=float)
+    def __init__(self, schema: AttributeSchema, observations):
+        obs = np.asarray(observations, dtype=float)
         if obs.ndim != 2:
             raise LearningError("observations must be an m x n matrix")
         if obs.shape[0] < 2:
             raise LearningError("need at least 2 records")
-        if obs.shape[1] != self.schema.dim:
+        if obs.shape[1] != schema.dim:
             raise DimensionMismatchError(
-                f"records have {obs.shape[1]} columns, schema has {self.schema.dim}"
+                f"records have {obs.shape[1]} columns, schema has {schema.dim}"
             )
         if not np.all(np.isfinite(obs)):
             raise LearningError("records must be finite (no missing values)")
         obs = obs.copy()
         obs.setflags(write=False)
-        object.__setattr__(self, "observations", obs)
+        self.schema, self.observations = schema, obs
 
     @property
     def m(self) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,21 +28,28 @@ class UnsupportedProfileError(ProfileError):
     """Operation requires closed-form marginals the profile does not have."""
 
 
-@dataclass(frozen=True)
 class AttributeSchema:
     """Ordered, unique QoS attribute identifiers; order binds coordinates."""
 
-    names: tuple
-
-    def __post_init__(self):
-        names = tuple(str(s) for s in self.names)
+    def __init__(self, names):
+        if isinstance(names, str):
+            raise ProfileError(f"schema needs a list of attribute names, got {names!r}")
+        names = tuple(str(s) for s in names)
         if len(names) == 0:
             raise ProfileError("schema needs at least one attribute")
         if any(not s for s in names):
             raise ProfileError("attribute names must be nonempty")
         if len(set(names)) != len(names):
             raise ProfileError("attribute names must be unique")
-        object.__setattr__(self, "names", names)
+        self.names = names
+
+    def __eq__(self, other):
+        if not isinstance(other, AttributeSchema):
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self):
+        return hash(self.names)
 
     @property
     def dim(self) -> int:
@@ -69,14 +75,11 @@ class Marginal(ABC):
     def sample(self, gen: np.random.Generator, k: int) -> np.ndarray: ...
 
 
-@dataclass(frozen=True)
 class GaussianMarginal(Marginal):
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and 0 < self.variance < math.inf):
+    def __init__(self, mean: float, variance: float):
+        if not (math.isfinite(mean) and 0 < variance < math.inf):
             raise ProfileError("mean must be finite and variance positive and finite")
+        self.mean, self.variance = mean, variance
 
     @property
     def sd(self) -> float:
@@ -108,14 +111,11 @@ def _gamma_logpdf(x: np.ndarray, shape, rate: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class GammaMarginal(Marginal):
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
+    def __init__(self, shape: float, rate: float):
+        if not (0 < shape < math.inf and 0 < rate < math.inf):
             raise ProfileError("shape and rate must be positive and finite")
+        self.shape, self.rate = shape, rate
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -7,8 +7,6 @@ time via the helpers below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .geometry import HPolytope
 
 
@@ -16,19 +14,21 @@ class RequirementError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class QoSConstraint:
     """<region, p_min, p_max>: demand p_min <= P(X in region) <= p_max."""
 
-    region: HPolytope
-    p_min: float = 0.0
-    p_max: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.p_min <= self.p_max <= 1.0):
+    def __init__(self, region: HPolytope, p_min: float = 0.0, p_max: float = 1.0):
+        if not (0.0 <= p_min <= p_max <= 1.0):
             raise RequirementError(
-                f"need 0 <= p_min <= p_max <= 1, got [{self.p_min}, {self.p_max}]"
+                f"need 0 <= p_min <= p_max <= 1, got [{p_min}, {p_max}]"
             )
+        self.region, self.p_min, self.p_max = region, p_min, p_max
+
+    def __repr__(self):
+        # `broker.requirement_hash` hashes the repr of a formula built
+        # without source text, so this format is part of that hash
+        return (f"QoSConstraint(region={self.region!r}, p_min={self.p_min!r}, "
+                f"p_max={self.p_max!r})")
 
     def structural_key(self):
         """Identity under which duplicate constraints share one truth value."""
@@ -36,40 +36,63 @@ class QoSConstraint:
 
 
 class Node:
-    """Base class for requirement AST nodes."""
+    """Base class for requirement AST nodes.
+
+    Each kind names its fields in `__slots__`; construction takes them in
+    that order, and equality, hash and repr go by kind and field values.
+    The repr is part of `broker.requirement_hash` for a formula built
+    without source text.
+    """
 
     __slots__ = ()
 
+    def __init__(self, *values, **named):
+        if named:
+            values += tuple(named.pop(name) for name in self.__slots__[len(values):]
+                            if name in named)
+        if named or len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
 
-@dataclass(frozen=True)
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class Top(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Bottom(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PropVar(Node):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Constraint(Node):
-    constraint: QoSConstraint
+    __slots__ = ("constraint",)
 
 
-@dataclass(frozen=True)
 class Not(Node):
-    child: Node
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
 class Or(Node):
-    left: Node
-    right: Node
+    __slots__ = ("left", "right")
 
 
 def and_(left: Node, right: Node) -> Node:

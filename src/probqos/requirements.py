@@ -13,7 +13,7 @@ import itertools
 import math
 import re
 import weakref
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"vars", "true", "false", "in"}
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number" | "ident" | "op" | "eof"
     text: str
     pos: int
@@ -96,8 +95,7 @@ def _tokenize(text: str) -> list:
 # Parser (precedence: ! > && > || > -> > <->; -> right-associative)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QoSRequirement:
+class QoSRequirement(NamedTuple):
     """Parsed requirement: AST root plus its propositional variable set."""
 
     root: Node
@@ -351,8 +349,7 @@ def parse_region(text: str, schema: AttributeSchema) -> HPolytope:
 # Constraint evaluation and the decision procedure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstraintResult:
+class ConstraintResult(NamedTuple):
     variable: str
     p_min: float
     p_max: float
@@ -362,8 +359,7 @@ class ConstraintResult:
     margin: float
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     verdict: str  # "satisfied" | "violated" | "indeterminate"
     witness: "dict | None"
     constraint_table: tuple

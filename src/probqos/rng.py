@@ -7,7 +7,7 @@ substreams can be derived for parallel or nested estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(NamedTuple):
     """A (seed, stream_id) pair identifying one reproducible sample sequence.
 
     Identical pairs reproduce identical sequences bit-for-bit on all

@@ -82,14 +82,19 @@ def profile_from_dict(doc: dict) -> QoSProfile:
     if not isinstance(doc, dict):
         raise SerializationError("profile document must be a JSON object")
     try:
-        schema = AttributeSchema(tuple(doc["schema"]))
-        kind = doc["kind"]
-    except (KeyError, TypeError) as exc:
+        names, kind = doc["schema"], doc["kind"]
+    except KeyError as exc:
         raise SerializationError(f"profile document missing field: {exc}")
+    if not isinstance(names, list):
+        raise SerializationError(f"schema must be a list of names, not {type(names).__name__}")
+    schema = AttributeSchema(names)
     try:
         if kind == "independent":
-            marginals = [_marginal_from_dict(m) for m in doc["marginals"]]
-            return IndependentProduct(schema, marginals)
+            marginals = doc["marginals"]
+            if not (isinstance(marginals, list)
+                    and all(isinstance(m, dict) for m in marginals)):
+                raise SerializationError("marginals must be a list of objects")
+            return IndependentProduct(schema, [_marginal_from_dict(m) for m in marginals])
         if kind == "correlated_tprt":
             return CorrelatedTPRT(float(doc["mu"]), float(doc["sigma2"]),
                                   float(doc["alpha"]), float(doc["beta"]),

@@ -66,6 +66,18 @@ NON_FINITE = {
 }
 
 
+# Profile documents of the wrong shape; a string schema is not split into
+# one-letter attributes, which the requirement below would name
+_UNIT_GAUSSIAN = {"family": "gaussian", "mean": 0.5, "variance": 1.0}
+MALFORMED = {
+    "marginals-object": {"schema": ["A", "B"], "kind": "independent",
+                         "marginals": _UNIT_GAUSSIAN},
+    "marginals-numbers": {"schema": ["A", "B"], "kind": "independent", "marginals": [5, 6]},
+    "schema-string": {"schema": "AB", "kind": "independent",
+                      "marginals": [_UNIT_GAUSSIAN, _UNIT_GAUSSIAN]},
+}
+
+
 @pytest.fixture
 def repo(tmp_path):
     repo_dir = tmp_path / "repo"
@@ -114,6 +126,11 @@ class TestSerialize:
         path.write_text("{not json")
         with pytest.raises(SerializationError):
             load_profile(path)
+
+    @pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_document_shape(self, doc):
+        with pytest.raises(SerializationError, match="must be a list"):
+            profile_from_dict(doc)
 
     def test_unknown_kind(self):
         with pytest.raises(SerializationError):
@@ -233,6 +250,19 @@ class TestCLI:
         profile.write_text("{oops")
         code, _, _ = self.run(capsys, "check", str(profile), str(req_file))
         assert code == 10
+
+    @pytest.mark.parametrize("verb", ["check", "select"])
+    @pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_profile_document(self, capsys, tmp_path, verb, doc):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        (repo / "svc.json").write_text(json.dumps(doc))
+        req = tmp_path / "r.qreq"
+        req.write_text("P[0 <= A && A <= 1 && 0 <= B && B <= 1] in [0, 1]\n")
+        target = repo / "svc.json" if verb == "check" else repo
+        code, out, err = self.run(capsys, verb, str(target), str(req), "--samples", "2000")
+        assert (code, out) == (10, "")
+        assert err.startswith("error: ")
 
     def test_check_schema_mismatch(self, capsys, tmp_path):
         profile = tmp_path / "p.json"
