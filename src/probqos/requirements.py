@@ -2,7 +2,8 @@
 
 Parses textual requirements (Boolean combinations of probability-bound
 constraints over linear-inequality regions), evaluates each distinct
-constraint once by Monte Carlo integration, substitutes the truth values
+constraint once (exactly for a box region on a profile with a closed-form
+box mass, by Monte Carlo integration otherwise), substitutes the truth values
 into the formula and settles what remains with the DPLL solver. A
 profile's integrals for one seed are kept for the checks that follow.
 """
@@ -422,7 +423,9 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
 
     Returns (truth, estimate, std_error); truth is `_decide` at confidence_z,
     None when the band straddles a bound. Vacuous [0, 1] bounds need no
-    integration and give (True, 1.0, 0.0).
+    integration and give (True, 1.0, 0.0). A region that is its own
+    bounding box (no row in `box_rows`) on a profile with a closed-form
+    `box_mass` gets that mass at standard error 0.0, and draws no samples.
 
     `integrate_uniform` is a pure function of (profile, region, k, stream):
     profiles are immutable, and the estimate does not depend on the core
@@ -437,6 +440,13 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
     """
     if constraint.p_min == 0.0 and constraint.p_max == 1.0:
         return True, 1.0, 0.0
+    region = constraint.region
+    # a region named otherwise than the profile's schema goes on to
+    # integrate_uniform, which rejects it
+    if region.box_rows.size == 0 and region.attribute_names == profile.schema.names:
+        mass = profile.box_mass(region.bounding_box)
+        if mass is not None:
+            return _decide(mass, 0.0, constraint, confidence_z), mass, 0.0
     stream = as_stream(rng)
     run = (stream.seed, k)
     # threads may replace a profile's entries while others fill them; a
@@ -446,9 +456,9 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
     if stored_run != run:
         integrals = {}
         _INTEGRALS[profile] = (run, integrals)
-    key = (constraint.region.structural_key(), stream.stream_id)
+    key = (region.structural_key(), stream.stream_id)
     if key not in integrals:
-        est = integrate_uniform(profile, constraint.region, k, stream)
+        est = integrate_uniform(profile, region, k, stream)
         integrals[key] = (est.value, est.std_error)
     value, std_error = integrals[key]
     truth = _decide(value, std_error, constraint, confidence_z)
@@ -469,9 +479,9 @@ def _margin(estimate: float, std_error: float, c: QoSConstraint,
 
 def qos_check(profile: QoSProfile, req: QoSRequirement, k: int = DEFAULT_SAMPLES,
               rng: "RngStream | int" = 0, confidence_z: float = 3.0) -> CheckReport:
-    """Decision procedure: integrate each constraint once, substitute, then SAT.
+    """Decision procedure: evaluate each constraint once, substitute, then SAT.
 
-    Each distinct constraint, in first-occurrence order, is integrated on
+    Each distinct constraint, in first-occurrence order, is evaluated on
     its own substream and reported as ``$c1``, ``$c2``, ... Its truth value
     replaces it in the formula, and satisfaction then reduces to
     satisfiability over the requirement's free propositional variables. A

@@ -274,6 +274,19 @@ class TestCLI:
         code, _, _ = self.run(capsys, "check", str(profile), str(req))
         assert code in (10, 11)  # unknown attribute is reported at parse time
 
+    def test_check_schema_names_not_strings(self, capsys, tmp_path):
+        # the load rejects the names, before the requirement could call them
+        # unknown attributes
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps(
+            {"schema": [None, 5], "kind": "independent",
+             "marginals": [_UNIT_GAUSSIAN, _UNIT_GAUSSIAN]}))
+        req = tmp_path / "r.qreq"
+        req.write_text("P[60 <= TP && TP <= 100 && 0 <= RT && RT <= 300] in [0, 1]\n")
+        code, out, err = self.run(capsys, "check", str(profile), str(req))
+        assert (code, out) == (10, "")
+        assert err == "error: attribute names must be strings, got schema [None, 5]\n"
+
     def test_select_reproducible(self, capsys, repo, req_file):
         args = ("select", str(repo), str(req_file), "--samples", "10000",
                 "--seed", "13")

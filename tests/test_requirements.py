@@ -22,6 +22,8 @@ from probqos import (
     qos_check,
 )
 from probqos.geometry import UnboundedPolytopeError
+from probqos.integrate import integrate_uniform
+from probqos.learning import KDEProfile
 from probqos.reqast import (
     Bottom,
     Constraint,
@@ -44,13 +46,19 @@ from probqos.reference import (
     R_GOOD_TEXT,
     SCHEMA,
     bad_profile,
+    correlated_profile,
     independent_profile,
 )
 from probqos.serialize import profile_from_dict
 from probqos.sat import collect_prop_vars
 
 BOX = "60 <= TP && TP <= 100 && 0 <= RT && RT <= 300"
-# nearly all of the independent profile's mass: at k=20,000 the estimate
+# A box on an independent profile has an exact mass and standard error 0,
+# so the tests of sampling put BOX on the correlated profile, which has no
+# closed-form box mass. Its mass there is 0.188295 (by quadrature): at
+# k=50,000 a lower bound of NEAR lies inside the 3-s.e. band.
+NEAR = 0.1883
+# nearly all of the correlated profile's mass: at k=20,000 the estimate
 # exceeds 1 at rng 0, 2, 3 and 4
 WIDE_099 = "P[-100 <= TP && TP <= 200 && 0 <= RT && RT <= 5000] in [0.99, _]"
 
@@ -406,18 +414,18 @@ class TestEvaluateConstraint:
 
     def test_indeterminate_near_boundary(self):
         region = parse_region(BOX, SCHEMA)
-        # p_min pinned within one standard error of the true 0.16145...
-        truth, est, se = evaluate_constraint(QoSConstraint(region, 0.16145, 1.0),
-                                             independent_profile(), 50_000,
+        # p_min pinned within one standard error of the true 0.188295...
+        truth, est, se = evaluate_constraint(QoSConstraint(region, NEAR, 1.0),
+                                             correlated_profile(), 50_000,
                                              RngStream(3))
         assert truth is None
 
     def test_strict_mode_decides(self):
         region = parse_region(BOX, SCHEMA)
-        truth, est, _ = evaluate_constraint(QoSConstraint(region, 0.16145, 1.0),
-                                            independent_profile(), 50_000,
+        truth, est, _ = evaluate_constraint(QoSConstraint(region, NEAR, 1.0),
+                                            correlated_profile(), 50_000,
                                             RngStream(3), confidence_z=0.0)
-        assert truth == (0.16145 <= est <= 1.0)
+        assert truth == (NEAR <= est <= 1.0)
 
 
 class TestQoSCheck:
@@ -470,13 +478,13 @@ class TestQoSCheck:
         # c_near is indeterminate, but OR-ed with a certainly-true constraint
         # the overall verdict does not depend on it
         req = parse_requirement(
-            f"P[{BOX}] in [0.16145, _] || P[{BOX}] in [0.1, 0.2]", SCHEMA)
-        report = qos_check(independent_profile(), req, k=50_000, rng=3)
+            f"P[{BOX}] in [{NEAR}, _] || P[{BOX}] in [0.1, 0.2]", SCHEMA)
+        report = qos_check(correlated_profile(), req, k=50_000, rng=3)
         assert report.verdict == "satisfied"
 
     def test_indeterminate_verdict_surfaces(self):
-        req = parse_requirement(f"P[{BOX}] in [0.16145, _]", SCHEMA)
-        report = qos_check(independent_profile(), req, k=50_000, rng=3)
+        req = parse_requirement(f"P[{BOX}] in [{NEAR}, _]", SCHEMA)
+        report = qos_check(correlated_profile(), req, k=50_000, rng=3)
         assert report.verdict == "indeterminate"
         assert report.witness is None
 
@@ -504,14 +512,14 @@ class TestDecisionRule:
 
     @pytest.mark.parametrize("rng", [0, 2, 3, 4])
     def test_z0_decides_estimate_above_one(self, rng):
-        report = qos_check(independent_profile(), parse_requirement(WIDE_099, SCHEMA),
+        report = qos_check(correlated_profile(), parse_requirement(WIDE_099, SCHEMA),
                            k=20_000, rng=rng, confidence_z=0.0)
         assert report.constraint_table[0].estimate > 1.0
         assert report.verdict == "satisfied"
 
     def test_point_truth_clips_estimate_above_one(self):
         req = parse_requirement(f"vars p ; p <-> {WIDE_099}", SCHEMA)
-        report = qos_check(independent_profile(), req, k=20_000, rng=0)
+        report = qos_check(correlated_profile(), req, k=20_000, rng=0)
         assert report.constraint_table[0].truth is None
         assert report.witness == {"p": True}
 
@@ -534,8 +542,8 @@ class TestDecisionRule:
         monkeypatch.setattr(sat, "dpll_sat", counting)
         # one undecided constraint, OR-ed with a certainly true one
         req = parse_requirement(
-            f"P[{BOX}] in [0.16145, _] || P[{BOX}] in [0.1, 0.2]", SCHEMA)
-        report = qos_check(independent_profile(), req, k=50_000, rng=3)
+            f"P[{BOX}] in [{NEAR}, _] || P[{BOX}] in [0.1, 0.2]", SCHEMA)
+        report = qos_check(correlated_profile(), req, k=50_000, rng=3)
         assert [row.truth for row in report.constraint_table] == [None, True]
         assert report.verdict == "satisfied"
         assert len(calls) == 2  # the point truths, then the other assignment
@@ -551,24 +559,82 @@ class TestDecisionRule:
             pytest.approx(0.3), 1.0]
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """The calls `evaluate_constraint` makes to `integrate_uniform`."""
+    calls = []
+    integrate = requirements.integrate_uniform
+
+    def counting(profile, region, k, rng):
+        calls.append((region.structural_key(), k, rng))
+        return integrate(profile, region, k, rng)
+
+    monkeypatch.setattr(requirements, "integrate_uniform", counting)
+    return calls
+
+
+def _bad_kde(kernel):
+    """A KDE of 200 draws from the degraded service, whose mass lies mostly
+    in R_BAD."""
+    return KDEProfile(SCHEMA, bad_profile().sample(200, RngStream(5)), kernel, [6.0, 80.0])
+
+
+class TestExactBoxMass:
+    """A region that is its own bounding box, on a profile with a closed-form
+    box mass, gets that mass with standard error 0 and no sampling. The
+    benchmark's oracle computes box references with the same box masses, so
+    these comparisons with the sampling integrator are the independent
+    check of this path."""
+
+    @pytest.mark.parametrize("make,text", [
+        (independent_profile, BOX),
+        (bad_profile, R_BAD_TEXT),
+        (lambda: _bad_kde("gaussian"), R_BAD_TEXT),
+        (lambda: _bad_kde("exponential"), R_BAD_TEXT),
+    ], ids=["independent-box", "independent-bad", "kde-gaussian-bad", "kde-laplace-bad"])
+    def test_box_mass_agrees_with_the_integrator(self, calls, make, text):
+        region = parse_region(text, SCHEMA)
+        profile = make()
+        truth, est, se = evaluate_constraint(QoSConstraint(region, 0.1, 0.2), profile,
+                                             200_000, RngStream(8))
+        assert (calls, se) == ([], 0.0)
+        assert profile not in requirements._INTEGRALS
+        assert truth == (0.1 <= est <= 0.2)
+        sampled = integrate_uniform(profile, region, 200_000, RngStream(8))
+        assert 0.0 < sampled.std_error
+        assert abs(est - sampled.value) <= 4.0 * sampled.std_error
+
+    def test_profile_without_box_mass_integrates_once(self, calls):
+        truth, est, se = evaluate_constraint(
+            QoSConstraint(parse_region(BOX, SCHEMA), 0.1, 0.2), correlated_profile(),
+            2_000, RngStream(0))
+        assert len(calls) == 1 and se > 0.0
+
+    def test_row_the_box_implies_keeps_the_exact_path(self, calls):
+        # TP + RT <= 400 on the whole box, so the row adds nothing to it
+        region = parse_region(f"{BOX} && TP + RT <= 1000", SCHEMA)
+        assert region.box_rows.size == 0
+        plain = evaluate_constraint(QoSConstraint(parse_region(BOX, SCHEMA), 0.1, 0.2),
+                                    independent_profile(), 2_000, RngStream(0))
+        got = evaluate_constraint(QoSConstraint(region, 0.1, 0.2), independent_profile(),
+                                  2_000, RngStream(0))
+        assert calls == [] and got == plain and got[2] == 0.0
+
+    def test_row_the_box_does_not_imply_samples(self, calls):
+        region = parse_region(R_GOOD_TEXT, SCHEMA)
+        assert region.box_rows.size == 1
+        truth, est, se = evaluate_constraint(QoSConstraint(region, 0.1, 0.2),
+                                             independent_profile(), 2_000, RngStream(0))
+        assert len(calls) == 1 and se > 0.0
+
+
 class TestIntegralMemo:
     """A profile's integrals are kept for its latest (seed, k) and reused by
     any later check that repeats the (region, substream)."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        integrate = requirements.integrate_uniform
-
-        def counting(profile, region, k, rng):
-            calls.append((region.structural_key(), k, rng))
-            return integrate(profile, region, k, rng)
-
-        monkeypatch.setattr(requirements, "integrate_uniform", counting)
-        return calls
-
     def test_select_style_rounds_integrate_each_region_once(self, calls, fixtures_dir):
-        doc = json.loads((fixtures_dir / "profiles" / "service_a.json").read_text())
+        # service_c is correlated, so it integrates the box region R_BAD too
+        doc = json.loads((fixtures_dir / "profiles" / "service_c.json").read_text())
         good_min = parse_requirement(f"P[{R_GOOD_TEXT}] in [0.6, _]", SCHEMA)
         conjunction = parse_requirement(
             f"P[{R_GOOD_TEXT}] in [0.6, _] && P[{R_BAD_TEXT}] in [_, 0.3]", SCHEMA)
@@ -586,7 +652,7 @@ class TestIntegralMemo:
     @pytest.mark.parametrize("change", ["seed", "k", "region", "index"])
     def test_any_other_input_integrates_again(self, calls, change):
         box = parse_region(BOX, SCHEMA)
-        profile = independent_profile()
+        profile = correlated_profile()
         evaluate_constraint(QoSConstraint(box, 0.1, 0.2), profile, 4_000,
                             RngStream(3).substream(0))
         region, k, stream = box, 4_000, RngStream(3).substream(0)
@@ -603,7 +669,7 @@ class TestIntegralMemo:
 
     def test_bounds_and_z_are_decided_afresh(self, calls):
         box = parse_region(BOX, SCHEMA)
-        profile = independent_profile()
+        profile = correlated_profile()
         stream = RngStream(2)
         truth, est, se = evaluate_constraint(QoSConstraint(box, 0.1, 0.2), profile,
                                              100_000, stream)
@@ -625,7 +691,7 @@ class TestIntegralMemo:
     def test_one_seed_and_k_per_profile(self, calls):
         box = parse_region(BOX, SCHEMA)
         good = parse_region(R_GOOD_TEXT, SCHEMA)
-        profile = independent_profile()
+        profile = correlated_profile()
         for seed in (1, 2):
             for region in (box, good):
                 evaluate_constraint(QoSConstraint(region, 0.1, 0.2), profile, 2_000,
@@ -640,7 +706,7 @@ class TestIntegralMemo:
         assert run == (1, 3_000) and len(integrals) == 1
 
     def test_dropped_profile_takes_its_entries(self):
-        profile = independent_profile()
+        profile = correlated_profile()
         evaluate_constraint(QoSConstraint(parse_region(BOX, SCHEMA), 0.1, 0.2), profile,
                             2_000, RngStream(0))
         ref = weakref.ref(profile)
@@ -664,9 +730,9 @@ class TestIntegralMemo:
             return evaluate_constraint(QoSConstraint(region, 0.1, 0.2), profile, k,
                                        RngStream(seed).substream(index))
 
-        expected = {(run, j): evaluate(independent_profile(), run, key)
+        expected = {(run, j): evaluate(correlated_profile(), run, key)
                     for run in set(runs) for j, key in enumerate(keys)}
-        profile = independent_profile()
+        profile = correlated_profile()
         wrong = []
 
         def worker(run):

@@ -162,6 +162,8 @@ VALIDATION = {
                      "attribute names must be nonempty"),
     "schema-duplicate": (lambda: AttributeSchema(["TP", "TP"]), ProfileError,
                          "attribute names must be unique"),
+    "schema-not-strings": (lambda: AttributeSchema([None, 5]), ProfileError,
+                           "attribute names must be strings, got schema [None, 5]"),
     "records-vector": (lambda: QoSRecordSet(SCHEMA, np.ones(4)), LearningError,
                        "observations must be an m x n matrix"),
     "records-one-row": (lambda: QoSRecordSet(SCHEMA, np.ones((1, 2))), LearningError,
