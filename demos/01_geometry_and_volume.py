@@ -6,7 +6,7 @@ walkthrough builds a few, finds interior points, and estimates volumes.
 
 import numpy as np
 
-from probqos import HPolytope, analytic_center, estimate_volume, solve_lp
+from probqos import HPolytope, analytic_center, estimate_volume
 from probqos.geometry import UnboundedPolytopeError
 
 # The unit triangle: x >= 0, y >= 0, x + y <= 1.
@@ -15,13 +15,14 @@ triangle = HPolytope(
     np.array([0.0, 0.0, 1.0]),
     ("x", "y"),
 )
-print("triangle bounding box:", triangle.bounding_box.lower, triangle.bounding_box.upper)
 print("contains (0.2, 0.2)?", triangle.contains([0.2, 0.2]))
 print("contains (0.8, 0.8)?", triangle.contains([0.8, 0.8]))
 
-# Linear programming over the region: the largest x + y inside the triangle.
-x, value = solve_lp(np.array([1.0, 1.0]), triangle, sense="max")
-print("max x + y =", value, "at", x)
+# Construction solves one linear program per axis direction, the smallest
+# and the largest value of each coordinate inside the region: the tight
+# bounding box that rejection sampling draws from.
+box = triangle.bounding_box
+print("bounding box: lower", box.lower, "upper", box.upper)
 
 # The analytic center minimizes the log-barrier; for the triangle it is (1/3, 1/3).
 center = analytic_center(triangle)

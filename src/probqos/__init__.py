@@ -28,7 +28,6 @@ from .geometry import (
     UnboundedPolytopeError,
     analytic_center,
     estimate_volume,
-    solve_lp,
 )
 from .integrate import (
     DEFAULT_SAMPLES,
@@ -141,5 +140,4 @@ __all__ = [
     "rejection_sample",
     "save_profile",
     "select",
-    "solve_lp",
 ]

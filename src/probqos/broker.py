@@ -38,8 +38,8 @@ class ServiceEntry(NamedTuple):
 def load_repository(repo_dir) -> list:
     """Load every profile JSON in a directory as a ServiceEntry.
 
-    The service_id is the filename stem; ids must be unique and all profiles
-    must share one schema.
+    The service_id is the filename stem, unique within one directory; all
+    profiles must share one schema.
     """
     # Looked up on the serialize module at call time, so that a wrapper
     # installed there later (perfbench's tracer) is the one called.
@@ -63,9 +63,6 @@ def load_repository(repo_dir) -> list:
                 f"repository schema {schema.names}"
             )
         entries.append(ServiceEntry(path.stem, profile))
-    ids = [e.service_id for e in entries]
-    if len(set(ids)) != len(ids):
-        raise BrokerError("duplicate service ids in repository")
     return entries
 
 

@@ -30,6 +30,7 @@ from .integrate import (
     integrate_uniform,
 )
 from .learning import (
+    CV_FOLDS,
     LearningError,
     QoSRecordSet,
     bandwidth_scott,
@@ -54,8 +55,6 @@ EXIT_INDETERMINATE = 2
 EXIT_MALFORMED = 10
 EXIT_SCHEMA_MISMATCH = 11
 EXIT_UNBOUNDED = 12
-
-_CV_FOLDS = 5  # learn --cv scores each candidate over this many folds
 
 _VERDICT_EXIT = {
     "satisfied": EXIT_SATISFIED,
@@ -121,9 +120,9 @@ def _cmd_select(args) -> int:
 def _cmd_learn(args) -> int:
     records = QoSRecordSet.from_csv(args.records)
     if args.cv:
-        if records.m < _CV_FOLDS:
-            raise LearningError(f"--cv needs at least {_CV_FOLDS} records, got {records.m}")
-        profile = fit_kde_cv(records, folds=_CV_FOLDS, rng=RngStream(args.seed))
+        if records.m < CV_FOLDS:
+            raise LearningError(f"--cv needs at least {CV_FOLDS} records, got {records.m}")
+        profile = fit_kde_cv(records, rng=RngStream(args.seed))
     else:
         rule = bandwidth_scott if args.bandwidth == "scott" else bandwidth_silverman
         h = rule(records)
@@ -185,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="profile JSON to write")
     p.add_argument("--cv", action="store_true",
                    help="cross-validate the kernel (Gaussian or Laplace) and the "
-                        f"Scott bandwidths' scale (0.25-4) over {_CV_FOLDS} folds")
+                        f"Scott bandwidths' scale (0.25-4) over {CV_FOLDS} folds")
     p.add_argument("--bandwidth", choices=("scott", "silverman"), default="scott",
                    help="rule-of-thumb bandwidths for a Gaussian kernel "
                         "(ignored with --cv)")

@@ -78,13 +78,13 @@ def _pivot(T: np.ndarray, basis: list, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(T: np.ndarray, basis: list, ncols: int, tol: float = PIVOT_TOL) -> None:
+def _run_simplex(T: np.ndarray, basis: list, ncols: int) -> None:
     """Minimize the objective row in place. Bland's rule avoids cycling."""
     m = T.shape[0] - 1
     while True:
         enter = -1
         for j in range(ncols):
-            if T[m, j] < -tol:
+            if T[m, j] < -PIVOT_TOL:
                 enter = j
                 break
         if enter < 0:
@@ -93,7 +93,7 @@ def _run_simplex(T: np.ndarray, basis: list, ncols: int, tol: float = PIVOT_TOL)
         best = np.inf
         for i in range(m):
             a = T[i, enter]
-            if a > tol:
+            if a > PIVOT_TOL:
                 ratio = T[i, -1] / a
                 if ratio < best - 1e-15 or (
                     abs(ratio - best) <= 1e-15 and (leave < 0 or basis[i] < basis[leave])
@@ -105,7 +105,7 @@ def _run_simplex(T: np.ndarray, basis: list, ncols: int, tol: float = PIVOT_TOL)
         _pivot(T, basis, leave, enter)
 
 
-def _lp_min(c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float = PIVOT_TOL):
+def _lp_min(c: np.ndarray, A: np.ndarray, b: np.ndarray):
     """Minimize c.x subject to A x <= b with x free. Returns (x, value).
 
     Free variables are split x = u - v with u, v >= 0; feasibility is
@@ -142,7 +142,7 @@ def _lp_min(c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float = PIVOT_TOL)
         T[m, ncols:ncols + nart] = 1.0
         for i in art_rows:
             T[m] -= T[i]
-        _run_simplex(T, basis, ncols + nart, tol)
+        _run_simplex(T, basis, ncols + nart)
         if -T[m, -1] > 1e-7:
             raise LPInfeasibleError("inequality system is infeasible")
         # drive remaining artificials out of the basis, dropping redundant rows
@@ -151,7 +151,7 @@ def _lp_min(c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float = PIVOT_TOL)
             if basis[i] >= ncols:
                 piv = -1
                 for j in range(ncols):
-                    if abs(T[i, j]) > tol:
+                    if abs(T[i, j]) > PIVOT_TOL:
                         piv = j
                         break
                 if piv >= 0:
@@ -171,7 +171,7 @@ def _lp_min(c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float = PIVOT_TOL)
     for i, j in enumerate(basis):
         if c2[j] != 0.0:
             T[mrow] -= c2[j] * T[i]
-    _run_simplex(T, basis, ncols, tol)
+    _run_simplex(T, basis, ncols)
 
     xfull = np.zeros(ncols)
     for i, j in enumerate(basis):
@@ -207,12 +207,6 @@ class Box:
     @property
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
-
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        if p.shape != self.lower.shape:
-            raise DimensionMismatchError("point dimension does not match box")
-        return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
 
 
 class HPolytope:
@@ -328,23 +322,6 @@ class HPolytope:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def solve_lp(objective, poly: HPolytope, sense: str = "min"):
-    """Optimize a linear objective over the polytope.
-
-    Returns (optimal_point, optimal_value); raises LPUnboundedError when the
-    objective is unbounded (a normal signal for the boundedness check).
-    """
-    c = np.asarray(objective, dtype=float)
-    if c.shape != (poly.dim,):
-        raise DimensionMismatchError("objective dimension does not match polytope")
-    if sense not in ("min", "max"):
-        raise ValueError("sense must be 'min' or 'max'")
-    if sense == "max":
-        x, v = _lp_min(-c, poly.constraint_matrix, poly.bounds)
-        return x, -v
-    return _lp_min(c, poly.constraint_matrix, poly.bounds)
-
 
 def _chebyshev_center(A: np.ndarray, b: np.ndarray):
     norms = np.linalg.norm(A, axis=1)

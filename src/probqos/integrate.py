@@ -53,8 +53,6 @@ def _box_mean(f: np.ndarray, k: int, box_volume: float):
     """Vol(box) * mean(f * 1_R) over k box proposals, given the density `f`
     at the accepted ones, and its standard error Vol(box) * sd(f * 1_R) /
     sqrt(k)."""
-    if f.shape[0] == 0:
-        return 0.0, 0.0
     mean_g = float(f.sum()) / k
     # squared deviations of f * 1_R: the misses each contribute mean_g^2
     ss = float(((f - mean_g) ** 2).sum()) + (k - f.shape[0]) * mean_g * mean_g

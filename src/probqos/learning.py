@@ -28,6 +28,12 @@ __all__ = [
     "KERNELS",
 ]
 
+# The candidates fit_kde_cv scores: each kernel at each multiple of the
+# Scott bandwidths, over CV_FOLDS folds.
+CV_KERNELS = ("gaussian", "exponential")
+CV_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
+CV_FOLDS = 5
+
 # Elements of one (rows, m) block of log_density. The block is sized for
 # cache, not for memory: its two float64 buffers (512 KiB each) stay in a
 # core's L2 cache across the per-axis sweep and the exp-sum. On a 2 MiB-L2
@@ -71,12 +77,11 @@ class QoSRecordSet:
         return self.observations.shape[1]
 
     @classmethod
-    def from_csv(cls, path, schema: AttributeSchema | None = None) -> "QoSRecordSet":
+    def from_csv(cls, path) -> "QoSRecordSet":
         """Load records from a header + decimal-rows CSV.
 
-        The header names become the schema (and must match `schema` when one
-        is supplied). Rows with missing or non-numeric fields are rejected,
-        not imputed.
+        The header names become the schema. Rows with missing or non-numeric
+        fields are rejected, not imputed.
         """
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -85,11 +90,7 @@ class QoSRecordSet:
             except StopIteration:
                 raise LearningError(f"{path}: empty CSV")
             header = tuple(name.strip() for name in header)
-            file_schema = AttributeSchema(header)
-            if schema is not None and header != schema.names:
-                raise LearningError(
-                    f"{path}: CSV columns {header} do not match schema {schema.names}"
-                )
+            schema = AttributeSchema(header)
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
@@ -105,7 +106,7 @@ class QoSRecordSet:
                 rows.append(values)
         if not rows:
             raise LearningError(f"{path}: no data rows")
-        return cls(schema or file_schema, np.array(rows, dtype=float))
+        return cls(schema, np.array(rows, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +304,13 @@ def bandwidth_silverman(records: QoSRecordSet) -> np.ndarray:
 # Cross-validated model selection
 # ---------------------------------------------------------------------------
 
-def fit_kde_cv(records: QoSRecordSet,
-               kernels=("gaussian", "exponential"),
-               bandwidth_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
-               folds: int = 5,
-               rng=0) -> KDEProfile:
-    """Select (kernel, scale * Scott bandwidths) by k-fold held-out log-likelihood.
+def fit_kde_cv(records: QoSRecordSet, rng=0) -> KDEProfile:
+    """Select (kernel, multiplier * Scott bandwidths) by held-out log-likelihood.
 
-    Every candidate is scored on the same seeded fold partition, so the
-    selection is deterministic in (records, kernels, grid, folds, seed).
-    Ties break toward the larger bandwidth multiplier (the smoother model).
+    The candidates are each of CV_KERNELS at each of CV_MULTIPLIERS, every
+    one scored over the same seeded partition into CV_FOLDS folds, so the
+    selection is deterministic in (records, seed). Ties break toward the
+    larger bandwidth multiplier (the smoother model).
 
     Each (kernel, fold) runs the per-axis distance sweep once, at the Scott
     bandwidths: at multiplier t every distance is D / t^p (p = 2 Gaussian,
@@ -321,16 +319,10 @@ def fit_kde_cv(records: QoSRecordSet,
     exact at every t, because c > 0 keeps the nearest observation nearest
     and its term is exp(0) = 1.
     """
-    kernels = tuple(kernels)
-    grid = sorted(float(g) for g in bandwidth_grid)
-    if not kernels:
-        raise LearningError("need at least one kernel")
-    if any(k not in KERNELS for k in kernels):
-        raise LearningError(f"kernels must be among {sorted(KERNELS)}")
-    if not grid or any(g <= 0 for g in grid):
-        raise LearningError("bandwidth grid must be nonempty and positive")
-    if not 2 <= folds <= records.m:
-        raise LearningError(f"need 2 <= folds <= m, got folds={folds}, m={records.m}")
+    if records.m < CV_FOLDS:
+        raise LearningError(f"need at least {CV_FOLDS} records for {CV_FOLDS} folds, "
+                            f"got {records.m}")
+    grid = list(CV_MULTIPLIERS)
 
     base = bandwidth_scott(records)
     gen = as_stream(rng).generator()
@@ -338,13 +330,13 @@ def fit_kde_cv(records: QoSRecordSet,
     obs = records.observations
     # (training, held-out) index arrays per fold; training keeps the
     # permutation order
-    splits = [(np.delete(order, np.s_[f::folds]), order[f::folds])
-              for f in range(folds)]
+    splits = [(np.delete(order, np.s_[f::CV_FOLDS]), order[f::CV_FOLDS])
+              for f in range(CV_FOLDS)]
     log_mults = records.dim * np.log(grid)
 
     best = None  # (score, multiplier, kernel)
     scores = {}
-    for kernel in kernels:
+    for kernel in CV_KERNELS:
         factors = [g ** -KERNELS[kernel].degree for g in grid]
         totals = np.zeros(len(grid))
         for train, held in splits:
@@ -365,8 +357,7 @@ def fit_kde_cv(records: QoSRecordSet,
 
     score, mult, kernel = best
     if not math.isfinite(score):
-        raise LearningError("every candidate scored -inf held-out log-likelihood; "
-                            "widen the bandwidth grid")
+        raise LearningError("every candidate scored -inf held-out log-likelihood")
     h = base * mult
     fit_info = {
         "method": "cv",
@@ -374,7 +365,7 @@ def fit_kde_cv(records: QoSRecordSet,
         "multiplier": mult,
         "bandwidths": [float(v) for v in h],
         "cv_score": score,
-        "folds": folds,
+        "folds": CV_FOLDS,
         "grid": grid,
         "rule": "scott",
         "candidate_scores": {f"{k}:{m_}": s for (k, m_), s in sorted(scores.items())},

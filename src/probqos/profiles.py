@@ -67,9 +67,6 @@ class Marginal(ABC):
     def logpdf(self, x: np.ndarray) -> np.ndarray:
         """Log density; -inf outside the support."""
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.logpdf(x))
-
     @abstractmethod
     def cdf(self, x: np.ndarray) -> np.ndarray: ...
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import re
 import weakref
 from typing import NamedTuple
@@ -371,18 +372,7 @@ class CheckReport(NamedTuple):
         return {
             "verdict": self.verdict,
             "witness": dict(self.witness) if self.witness is not None else None,
-            "constraints": [
-                {
-                    "variable": c.variable,
-                    "p_min": c.p_min,
-                    "p_max": c.p_max,
-                    "estimate": c.estimate,
-                    "std_error": c.std_error,
-                    "truth": c.truth,
-                    "margin": c.margin,
-                }
-                for c in self.constraint_table
-            ],
+            "constraints": [c._asdict() for c in self.constraint_table],
             "k": self.k,
             "confidence_z": self.confidence_z,
         }
@@ -411,6 +401,15 @@ def _decide(estimate: float, std_error: float, c: QoSConstraint, z: float):
     return None
 
 
+def _check_sampling(k: int, confidence_z: float) -> None:
+    """Refuse a sample count below 2 (no standard error exists) and a
+    z-band half-width that is negative or not finite."""
+    if not isinstance(k, numbers.Integral) or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    if not (math.isfinite(confidence_z) and confidence_z >= 0.0):
+        raise ValueError(f"confidence_z must be finite and >= 0, got {confidence_z}")
+
+
 # profile -> ((seed, k), {(region structural key, stream id): (value,
 # std_error)}), see `evaluate_constraint`; a dropped profile takes its
 # entries with it
@@ -437,7 +436,11 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
     another seed or k replaces them. The memo lives in this process, so it
     helps repeated calls in one process only. The truth is always decided
     afresh, as the bounds and confidence_z are not part of the key.
+
+    On every path, k below 2 and a negative or non-finite confidence_z
+    raise ValueError.
     """
+    _check_sampling(k, confidence_z)
     if constraint.p_min == 0.0 and constraint.p_max == 1.0:
         return True, 1.0, 0.0
     region = constraint.region
@@ -495,9 +498,11 @@ def qos_check(profile: QoSProfile, req: QoSRequirement, k: int = DEFAULT_SAMPLES
     a later check in this process on the same profile, seed and k
     integrates only the (region, substream) pairs not seen before, and its
     report is the one a fresh process would give.
+
+    k and confidence_z are checked first, so that a requirement with no
+    sampled constraint refuses them too.
     """
-    if not (math.isfinite(confidence_z) and confidence_z >= 0.0):
-        raise ValueError(f"confidence_z must be finite and >= 0, got {confidence_z}")
+    _check_sampling(k, confidence_z)
     stream = as_stream(rng)
 
     table = []

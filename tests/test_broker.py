@@ -264,6 +264,25 @@ class TestCLI:
         assert (code, out) == (10, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("samples", ["1", "-5"])
+    @pytest.mark.parametrize("service", ["service_a", "service_c"])
+    @pytest.mark.parametrize("verb", ["check", "select"])
+    def test_samples_below_two_refused(self, capsys, tmp_path, fixtures_dir,
+                                       verb, service, samples):
+        # box_band's region is exact on service_a and sampled on service_c;
+        # both paths refuse the count before any output
+        profile = fixtures_dir / "profiles" / f"{service}.json"
+        if verb == "select":
+            repo = tmp_path / "repo"
+            repo.mkdir()
+            (repo / profile.name).write_text(profile.read_text())
+            profile = repo
+        req = fixtures_dir / "requirements" / "box_band.qreq"
+        code, out, err = self.run(capsys, verb, str(profile), str(req),
+                                  "--samples", samples)
+        assert (code, out) == (10, "")
+        assert err == f"error: k must be an integer >= 2, got {samples}\n"
+
     def test_check_schema_mismatch(self, capsys, tmp_path):
         profile = tmp_path / "p.json"
         profile.write_text(json.dumps(

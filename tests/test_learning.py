@@ -60,12 +60,6 @@ class TestRecordSet:
         with pytest.raises(LearningError):
             QoSRecordSet.from_csv(path)
 
-    def test_csv_schema_mismatch(self, tmp_path):
-        path = tmp_path / "records.csv"
-        path.write_text("a,b\n1,2\n3,4\n")
-        with pytest.raises(LearningError):
-            QoSRecordSet.from_csv(path, SCHEMA_XY)
-
     def test_csv_single_row_rejected(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("x,y\n1,2\n")
@@ -302,8 +296,7 @@ class TestBandwidthRules:
 class TestFitKDECV:
     def test_multiplier_near_oracle_on_gaussian_data(self):
         rs = gaussian_records(400, seed=7)
-        profile = fit_kde_cv(rs, bandwidth_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
-                             rng=RngStream(8))
+        profile = fit_kde_cv(rs, rng=RngStream(8))
         assert 0.5 <= profile.fit_info["multiplier"] <= 2.0
         assert math.isfinite(profile.fit_info["cv_score"])
 
@@ -316,15 +309,9 @@ class TestFitKDECV:
         assert a.fit_info["cv_score"] == b.fit_info["cv_score"]
 
     def test_folds_validation(self):
-        rs = gaussian_records(4)
+        # 4 records cannot fill 5 folds
         with pytest.raises(LearningError):
-            fit_kde_cv(rs, folds=5)
-        with pytest.raises(LearningError):
-            fit_kde_cv(rs, folds=1)
-
-    def test_empty_grid(self):
-        with pytest.raises(LearningError):
-            fit_kde_cv(gaussian_records(20), bandwidth_grid=())
+            fit_kde_cv(gaussian_records(4))
 
     def test_correlated_records_fit(self):
         records = QoSRecordSet(SCHEMA, correlated_profile().sample(500, RngStream(11)))
@@ -344,15 +331,16 @@ class TestFitKDECV:
                                                              abs=1e-9)
 
     @pytest.mark.parametrize("m", [7, 1000])
-    @pytest.mark.parametrize("grid", [(0.25, 0.5, 1.0, 2.0, 4.0), (0.3, 0.7, 1.0, 1.5, 3.0)])
+    @pytest.mark.parametrize("grid", [(0.25, 0.5, 1.0, 2.0, 4.0)])
     def test_scores_match_brute_force(self, m, grid):
         # m = 7 gives uneven folds (2, 2, 1, 1, 1); at m = 1000 a fold's 200
-        # held-out rows span 3 blocks of its 800 training records. Rescaling
-        # by the default grid's powers of two is exact; by the second, not.
+        # held-out rows span 3 blocks of its 800 training records. `grid` is
+        # the multipliers fit_kde_cv scores, written out for the reference.
         records = gaussian_records(m, seed=13)
         if m == 1000:
             assert -(-200 // (learning._MAX_ELEMENTS // 800)) == 3
-        profile = fit_kde_cv(records, bandwidth_grid=grid, rng=14)
+        profile = fit_kde_cv(records, rng=14)
+        assert profile.fit_info["grid"] == list(grid)
         want = brute_force_scores(records, 14, grid=grid)
         got = profile.fit_info["candidate_scores"]
         assert sorted(got) == sorted(want)

@@ -37,7 +37,7 @@ class TestSchema:
 class TestMarginals:
     def test_gaussian_pdf_peak(self):
         g = GaussianMarginal(0.0, 1.0)
-        assert g.pdf(np.array([0.0]))[0] == pytest.approx(1 / math.sqrt(2 * math.pi))
+        assert g.logpdf(np.array([0.0]))[0] == pytest.approx(-0.5 * math.log(2 * math.pi))
 
     def test_gaussian_cdf_symmetry(self):
         g = GaussianMarginal(5.0, 4.0)
@@ -47,10 +47,6 @@ class TestMarginals:
         g = GammaMarginal(3.0, 0.01)
         pts = g.sample(RngStream(0).generator(), 100_000)
         assert pts.mean() == pytest.approx(300.0, rel=0.02)
-
-    def test_gamma_pdf_zero_for_nonpositive(self):
-        g = GammaMarginal(3.0, 0.01)
-        assert g.pdf(np.array([-1.0, 0.0])).tolist() == [0.0, 0.0]
 
     def test_parameter_validation(self):
         with pytest.raises(ProfileError):
@@ -121,8 +117,8 @@ class TestCorrelatedTPRT:
         profile = correlated_profile()
         x1, x2 = 55.0, 250.0
         shape = 3.0 - (x1 - 50.0) / 50.0
-        tp = GaussianMarginal(50.0, 300.0).pdf(np.array([x1]))[0]
-        rt = GammaMarginal(shape, 0.01).pdf(np.array([x2]))[0]
+        tp = np.exp(GaussianMarginal(50.0, 300.0).logpdf(np.array([x1])))[0]
+        rt = np.exp(GammaMarginal(shape, 0.01).logpdf(np.array([x2])))[0]
         assert profile.density_at([x1, x2]) == pytest.approx(tp * rt, rel=1e-12)
 
     def test_deterministic(self):
@@ -211,10 +207,6 @@ class TestFusedDensity:
             np.testing.assert_array_equal(profile.density(pts), expected[name])
 
     def test_marginal_pdf_is_exp_logpdf(self):
-        x = np.array([-1.0, 0.0, 1e-3, 40.0, 400.0])
-        for marg in (GaussianMarginal(50.0, 300.0), GammaMarginal(0.5, 0.01),
-                     GammaMarginal(3.0, 0.01)):
-            np.testing.assert_array_equal(marg.pdf(x), np.exp(marg.logpdf(x)))
         assert GammaMarginal(3.0, 0.01).logpdf(np.array([-1.0, 0.0])).tolist() == [-math.inf] * 2
 
 

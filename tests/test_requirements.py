@@ -529,6 +529,23 @@ class TestDecisionRule:
             qos_check(independent_profile(), parse_requirement("true", SCHEMA),
                       k=1_000, rng=0, confidence_z=z)
 
+    @pytest.mark.parametrize("text", [f"P[{BOX}] in [0.1, 0.2]", "true"],
+                             ids=["box", "true"])
+    @pytest.mark.parametrize("k", [1, 0, -5, 2.5])
+    def test_sample_count_validated(self, text, k):
+        # on an independent profile BOX has an exact mass, and `true` has
+        # no constraint: neither path integrates, and both refuse k
+        with pytest.raises(ValueError, match="k must be an integer >= 2"):
+            qos_check(independent_profile(), parse_requirement(text, SCHEMA),
+                      k=k, rng=0)
+
+    @pytest.mark.parametrize("z", [math.nan, -1.0])
+    def test_evaluate_constraint_validates_z(self, z):
+        constraint = QoSConstraint(parse_region(BOX, SCHEMA), 0.1, 0.2)
+        with pytest.raises(ValueError, match="confidence_z"):
+            evaluate_constraint(constraint, independent_profile(), 1_000,
+                                RngStream(0), confidence_z=z)
+
     def test_sat_calls_per_undecided_constraint(self, monkeypatch):
         from probqos import sat
 
