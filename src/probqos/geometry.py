@@ -478,7 +478,10 @@ def estimate_volume(poly: HPolytope, k: int, rng_seed: "int | RngStream"):
 
     Returns (volume, std_error): volume = Vol(box) * hits/k, std_error the
     binomial-proportion standard error scaled by the box volume. A box
-    keeps no rows to test, so it gets (Vol(box), 0.0) exactly.
+    keeps no rows to test, so it gets (Vol(box), 0.0) exactly. k below 2,
+    where the standard error would always be 0, raises ValueError.
     """
+    if k < 2:
+        raise ValueError("k must be >= 2")
     hits, _ = box_pass(poly, k, rng_seed)
     return volume_from_hits(poly.bounding_box.volume, hits, k)

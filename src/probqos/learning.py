@@ -265,7 +265,7 @@ class KDEProfile(QoSProfile):
         upper = (box.upper - self.observations) / self.bandwidths
         lower = (box.lower - self.observations) / self.bandwidths
         per_axis = kernel_cdf(upper) - kernel_cdf(lower)
-        return float(np.mean(np.prod(per_axis, axis=1)))
+        return min(max(float(np.mean(np.prod(per_axis, axis=1))), 0.0), 1.0)
 
     def covering_box(self) -> Box:
         """Axis-aligned box holding all observations, padded by 10 bandwidths."""

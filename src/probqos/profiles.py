@@ -1,14 +1,19 @@
 """QoS profiles: joint densities over the attribute vector.
 
 Each profile supports pointwise density evaluation (what the Monte Carlo
-integrator needs) and forward sampling (what the learning tests and oracles
-need). Built-in families: independent products of Gaussian/Gamma marginals,
-the negatively-correlated throughput/response-time composite, and a uniform
-box used as a constant-density fixture.
+integrator needs), forward sampling (what the learning tests and oracles
+need) and the exact mass of an axis-aligned box (what a box region is
+answered with). Built-in families: independent products of Gaussian/Gamma
+marginals (box mass: the product of the marginal CDF differences), the
+negatively-correlated throughput/response-time composite (box mass: a
+one-dimensional quadrature over TP of the conditional Gamma CDF
+difference), and a uniform box used as a constant-density fixture (box
+mass: the overlap volume share).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from typing import Sequence
@@ -160,9 +165,11 @@ class QoSProfile(ABC):
     def sample(self, k: int, rng: "RngStream | int") -> np.ndarray:
         """k i.i.d. draws as a (k, n) array."""
 
-    def box_mass(self, box: Box) -> float | None:
-        """Exact P(X in box), or None where the profile has no closed form."""
-        return None
+    @abstractmethod
+    def box_mass(self, box: Box) -> float:
+        """P(X in box) for an axis-aligned box of the profile's dimension,
+        exact to rounding (or, for `CorrelatedTPRT`, to quadrature error
+        below 1e-12) and clipped into [0, 1]."""
 
     def density_at(self, point) -> float:
         p = np.asarray(point, dtype=float)
@@ -206,7 +213,20 @@ class IndependentProduct(QoSProfile):
         prob = 1.0
         for j, marg in enumerate(self.marginals):
             prob *= float(marg.cdf(box.upper[j]) - marg.cdf(box.lower[j]))
-        return max(prob, 0.0)
+        return min(max(prob, 0.0), 1.0)
+
+
+@functools.cache
+def _composite_rule():
+    """(nodes, weights) of composite Gauss-Legendre quadrature on [0, 1]:
+    64 equal panels of 16 nodes each. Built on first use, so that importing
+    the package does not pay for it, and read-only, as every caller shares
+    them."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    nodes = ((np.arange(64)[:, None] + 0.5 * (x + 1.0)) / 64).ravel()
+    weights = np.tile(w / 128, 64)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 class CorrelatedTPRT(QoSProfile):
@@ -274,6 +294,38 @@ class CorrelatedTPRT(QoSProfile):
         x2 = gen.gamma(shape2) / self.beta
         return np.column_stack([x1, x2])
 
+    def box_mass(self, box):
+        """P(X in box) = integral over the box's TP range of
+        phi(tp) * (G(s(tp), beta * hi) - G(s(tp), beta * lo)), with phi the
+        TP density, s the conditional shape, G the regularised lower
+        incomplete gamma and [lo, hi] the box's RT range clipped at 0.
+
+        The TP range is clipped to mu +/- 40 sd, beyond which phi underflows
+        to 0, and to the side of mu * (alpha + 1) where s > 0 (below it for
+        mu > 0, above it for mu < 0); the integral over what is left is
+        composite Gauss-Legendre quadrature, 64 panels of 16 nodes.
+        """
+        if box.dim != self.dim:
+            raise DimensionMismatchError("box dimension must match profile")
+        reach = 40.0 * self._tp.sd
+        lo = max(float(box.lower[0]), self.mu - reach)
+        hi = min(float(box.upper[0]), self.mu + reach)
+        edge = self.mu * (self.alpha + 1.0)
+        if self.mu > 0:
+            hi = min(hi, edge)
+        else:
+            lo = max(lo, edge)
+        if not lo < hi:
+            return 0.0
+        nodes, weights = _composite_rule()
+        tp = lo + (hi - lo) * nodes
+        shape = self._conditional_shape(tp)
+        rt_lo, rt_hi = (self.beta * max(float(v), 0.0) for v in (box.lower[1], box.upper[1]))
+        rt_mass = special.gammainc(shape, rt_hi) - special.gammainc(shape, rt_lo)
+        phi = np.exp(self._tp.logpdf(tp))
+        mass = (hi - lo) * float(np.dot(weights * phi, rt_mass))
+        return min(max(mass, 0.0), 1.0)
+
 
 class UniformBox(QoSProfile):
     """Constant density 1/Vol(box) on an axis-aligned box."""
@@ -295,6 +347,14 @@ class UniformBox(QoSProfile):
     def sample(self, k, rng):
         gen = as_stream(rng).generator()
         return gen.uniform(self.box.lower, self.box.upper, size=(k, self.dim))
+
+    def box_mass(self, box):
+        """P(X in box): the volume of the two boxes' overlap over Vol(self.box)."""
+        if box.dim != self.dim:
+            raise DimensionMismatchError("box dimension must match profile")
+        sides = np.minimum(box.upper, self.box.upper) - np.maximum(box.lower, self.box.lower)
+        overlap = float(np.prod(np.clip(sides, 0.0, None)))
+        return min(overlap / self.box.volume, 1.0)
 
 
 def rectangle_probability(profile: IndependentProduct, box: Box) -> float:

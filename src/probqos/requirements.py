@@ -2,8 +2,8 @@
 
 Parses textual requirements (Boolean combinations of probability-bound
 constraints over linear-inequality regions), evaluates each distinct
-constraint once (exactly for a box region on a profile with a closed-form
-box mass, by Monte Carlo integration otherwise), substitutes the truth values
+constraint once (exactly for a box region, by the profile's box mass, and
+by Monte Carlo integration otherwise), substitutes the truth values
 into the formula and settles what remains with the DPLL solver. A
 profile's integrals for one seed are kept for the checks that follow.
 """
@@ -423,8 +423,11 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
     Returns (truth, estimate, std_error); truth is `_decide` at confidence_z,
     None when the band straddles a bound. Vacuous [0, 1] bounds need no
     integration and give (True, 1.0, 0.0). A region that is its own
-    bounding box (no row in `box_rows`) on a profile with a closed-form
-    `box_mass` gets that mass at standard error 0.0, and draws no samples.
+    bounding box (no row in `box_rows`) gets the profile's `box_mass` at
+    standard error 0.0, and draws no samples: every profile kind has one
+    (a closed form, or for the correlated profile a one-dimensional
+    quadrature), so only regions with a row the box does not imply are
+    integrated.
 
     `integrate_uniform` is a pure function of (profile, region, k, stream):
     profiles are immutable, and the estimate does not depend on the core
@@ -448,8 +451,7 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
     # integrate_uniform, which rejects it
     if region.box_rows.size == 0 and region.attribute_names == profile.schema.names:
         mass = profile.box_mass(region.bounding_box)
-        if mass is not None:
-            return _decide(mass, 0.0, constraint, confidence_z), mass, 0.0
+        return _decide(mass, 0.0, constraint, confidence_z), mass, 0.0
     stream = as_stream(rng)
     run = (stream.seed, k)
     # threads may replace a profile's entries while others fill them; a

@@ -269,8 +269,8 @@ class TestCLI:
     @pytest.mark.parametrize("verb", ["check", "select"])
     def test_samples_below_two_refused(self, capsys, tmp_path, fixtures_dir,
                                        verb, service, samples):
-        # box_band's region is exact on service_a and sampled on service_c;
-        # both paths refuse the count before any output
+        # box_band's region is a box, exact on service_a (independent) and
+        # service_c (correlated); both refuse the count before any output
         profile = fixtures_dir / "profiles" / f"{service}.json"
         if verb == "select":
             repo = tmp_path / "repo"
@@ -404,6 +404,13 @@ class TestCLI:
         assert code == 0
         doc = json.loads(out)
         assert abs(doc["volume"] - 0.5) <= 3 * doc["std_error"] + 1e-12
+
+    def test_volume_samples_below_two_refused(self, capsys):
+        code, out, err = self.run(capsys, "volume", "--region",
+                                  "0 <= x && x <= 1 && 0 <= y && y <= 1 && x + y <= 1",
+                                  "--attributes", "x,y", "--samples", "1", "--seed", "3")
+        assert (code, out) == (10, "")
+        assert err == "error: k must be >= 2\n"
 
     @pytest.mark.parametrize("verb", ["learn", "integrate", "integrate-scan", "volume"])
     def test_output_is_json_with_or_without_flag(self, capsys, tmp_path, fixtures_dir,

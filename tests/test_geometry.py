@@ -163,6 +163,13 @@ class TestVolume:
         b = estimate_volume(triangle, 50_000, rng_seed=11)
         assert a == b
 
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_fewer_than_two_samples_refused(self, triangle, k):
+        # one proposal has no spread to estimate: its standard error is
+        # always 0, whichever way it lands
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            estimate_volume(triangle, k, rng_seed=3)
+
 
 class TestBoxPass:
     def test_box_rows(self, unit_square, triangle):

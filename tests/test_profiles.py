@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from probqos import (
     AttributeSchema,
@@ -17,7 +17,7 @@ from probqos import (
     rectangle_probability,
 )
 from probqos.geometry import DimensionMismatchError
-from probqos.profiles import UnsupportedProfileError
+from probqos.profiles import QoSProfile, UnsupportedProfileError
 from probqos.reference import SCHEMA, correlated_profile, independent_profile
 
 
@@ -125,6 +125,63 @@ class TestCorrelatedTPRT:
         a = correlated_profile().sample(100, RngStream(7))
         b = correlated_profile().sample(100, RngStream(7))
         np.testing.assert_array_equal(a, b)
+
+
+def quad_box_mass(profile, lower, upper):
+    """P(box) of a CorrelatedTPRT by adaptive quadrature over the box's TP
+    range of the TP density times the conditional RT probability, split at
+    every sd within 10 sd of the mean and where the conditional shape
+    reaches 0."""
+    sd = math.sqrt(profile.sigma2)
+
+    def integrand(tp):
+        shape = profile.alpha - (tp - profile.mu) / profile.mu
+        if shape <= 0:
+            return 0.0
+        rt = stats.gamma(shape, scale=1.0 / profile.beta)
+        return stats.norm.pdf(tp, profile.mu, sd) * (rt.cdf(upper[1]) - rt.cdf(lower[1]))
+
+    cuts = [profile.mu + j * sd for j in range(-10, 11)] + [profile.mu * (profile.alpha + 1)]
+    edges = sorted({lower[0], upper[0], *(c for c in cuts if lower[0] < c < upper[0])})
+    return sum(integrate.quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13)[0]
+               for a, b in zip(edges, edges[1:]))
+
+
+class TestBoxMass:
+    def test_every_profile_kind_must_have_one(self):
+        assert "box_mass" in QoSProfile.__abstractmethods__
+
+    @pytest.mark.parametrize("profile,lower,upper", [
+        (correlated_profile(), (60.0, 0.0), (100.0, 300.0)),
+        (correlated_profile(), (0.0, 300.0), (40.0, 1000.0)),
+        # mu * (alpha + 1) = 225 is 1.4 sd above the mean
+        (CorrelatedTPRT(150.0, 3000.0, 0.5, 0.01), (150.0, 0.0), (300.0, 300.0)),
+        (correlated_profile(), (40.0, -50.0), (70.0, 200.0)),
+        # from 87 sd to 32 sd below the mean: the mass underflows to 0
+        (correlated_profile(), (-1450.0, 0.0), (-500.0, 300.0)),
+        (CorrelatedTPRT(-50.0, 300.0, 3.0, 0.01), (-100.0, 0.0), (0.0, 300.0)),
+        (CorrelatedTPRT(-40.0, 90.0, 2.0, 1.5), (-130.0, 0.5), (-20.0, 2.0)),
+    ], ids=["box", "bad", "shape-edge", "negative-rt", "far-tail", "negative-mu",
+            "negative-mu-shape-edge"])
+    def test_correlated_matches_adaptive_quadrature(self, profile, lower, upper):
+        mass = profile.box_mass(Box(np.array(lower), np.array(upper)))
+        assert abs(mass - quad_box_mass(profile, lower, upper)) <= 1e-12
+
+    def test_correlated_spike_is_one_at_most(self):
+        spike = CorrelatedTPRT(50.0, 1e-4, 3.0, 0.01)
+        mass = spike.box_mass(Box(np.array([0.0, 0.0]), np.array([1000.0, 10000.0])))
+        assert 1.0 - 1e-12 <= mass <= 1.0
+
+    @pytest.mark.parametrize("lower,upper,expected", [
+        ((3.0, 0.0), (4.0, 1.0), 0.0),
+        ((1.0, 1.0), (5.0, 2.0), 0.125),
+        ((0.5, 0.5), (1.5, 1.5), 0.125),
+        ((-1.0, -1.0), (3.0, 5.0), 1.0),
+    ], ids=["disjoint", "overlapping", "inside", "containing"])
+    def test_uniform_box_is_the_overlap_share(self, lower, upper, expected):
+        profile = UniformBox(AttributeSchema(("x", "y")),
+                             Box(np.array([0.0, 0.0]), np.array([2.0, 4.0])))
+        assert profile.box_mass(Box(np.array(lower), np.array(upper))) == expected
 
 
 def reference_density(profile, pts):

@@ -13,8 +13,10 @@ import pytest
 
 from probqos import (
     AttributeSchema,
+    Box,
     QoSConstraint,
     RngStream,
+    UniformBox,
     dpll_sat,
     evaluate_constraint,
     parse_region,
@@ -53,14 +55,19 @@ from probqos.serialize import profile_from_dict
 from probqos.sat import collect_prop_vars
 
 BOX = "60 <= TP && TP <= 100 && 0 <= RT && RT <= 300"
-# A box on an independent profile has an exact mass and standard error 0,
-# so the tests of sampling put BOX on the correlated profile, which has no
-# closed-form box mass. Its mass there is 0.188295 (by quadrature): at
-# k=50,000 a lower bound of NEAR lies inside the 3-s.e. band.
+# A box region gets its profile's exact box mass at standard error 0, so
+# the tests of sampling add a row the bounding box does not imply: CUT is
+# BOX less the corner TP + RT > 399, with the same bounding box. On the
+# correlated profile its mass is 0.188294 (BOX's is 0.188295): at k=50,000
+# a lower bound of NEAR lies inside the 3-s.e. band.
+CUT = f"{BOX} && TP + RT <= 399"
 NEAR = 0.1883
-# nearly all of the correlated profile's mass: at k=20,000 the estimate
-# exceeds 1 at rng 0, 2, 3 and 4
-WIDE_099 = "P[-100 <= TP && TP <= 200 && 0 <= RT && RT <= 5000] in [0.99, _]"
+# R_BAD less its corner TP + RT > 1039, sampled in the same way
+R_BAD_CUT = f"{R_BAD_TEXT} && TP + RT <= 1039"
+# nearly all of the correlated profile's mass, less the corner
+# TP + RT > 5199: at k=20,000 the estimate exceeds 1 at rng 0, 2, 3 and 4
+WIDE_099 = ("P[-100 <= TP && TP <= 200 && 0 <= RT && RT <= 5000 && TP + RT <= 5199]"
+            " in [0.99, _]")
 
 
 def random_formula(rng: random.Random, depth: int, names):
@@ -413,15 +420,15 @@ class TestEvaluateConstraint:
         assert truth is True
 
     def test_indeterminate_near_boundary(self):
-        region = parse_region(BOX, SCHEMA)
-        # p_min pinned within one standard error of the true 0.188295...
+        region = parse_region(CUT, SCHEMA)
+        # p_min pinned within one standard error of the true 0.188294...
         truth, est, se = evaluate_constraint(QoSConstraint(region, NEAR, 1.0),
                                              correlated_profile(), 50_000,
                                              RngStream(3))
         assert truth is None
 
     def test_strict_mode_decides(self):
-        region = parse_region(BOX, SCHEMA)
+        region = parse_region(CUT, SCHEMA)
         truth, est, _ = evaluate_constraint(QoSConstraint(region, NEAR, 1.0),
                                             correlated_profile(), 50_000,
                                             RngStream(3), confidence_z=0.0)
@@ -478,12 +485,12 @@ class TestQoSCheck:
         # c_near is indeterminate, but OR-ed with a certainly-true constraint
         # the overall verdict does not depend on it
         req = parse_requirement(
-            f"P[{BOX}] in [{NEAR}, _] || P[{BOX}] in [0.1, 0.2]", SCHEMA)
+            f"P[{CUT}] in [{NEAR}, _] || P[{CUT}] in [0.1, 0.2]", SCHEMA)
         report = qos_check(correlated_profile(), req, k=50_000, rng=3)
         assert report.verdict == "satisfied"
 
     def test_indeterminate_verdict_surfaces(self):
-        req = parse_requirement(f"P[{BOX}] in [{NEAR}, _]", SCHEMA)
+        req = parse_requirement(f"P[{CUT}] in [{NEAR}, _]", SCHEMA)
         report = qos_check(correlated_profile(), req, k=50_000, rng=3)
         assert report.verdict == "indeterminate"
         assert report.witness is None
@@ -559,7 +566,7 @@ class TestDecisionRule:
         monkeypatch.setattr(sat, "dpll_sat", counting)
         # one undecided constraint, OR-ed with a certainly true one
         req = parse_requirement(
-            f"P[{BOX}] in [{NEAR}, _] || P[{BOX}] in [0.1, 0.2]", SCHEMA)
+            f"P[{CUT}] in [{NEAR}, _] || P[{CUT}] in [0.1, 0.2]", SCHEMA)
         report = qos_check(correlated_profile(), req, k=50_000, rng=3)
         assert [row.truth for row in report.constraint_table] == [None, True]
         assert report.verdict == "satisfied"
@@ -590,6 +597,11 @@ def calls(monkeypatch):
     return calls
 
 
+def _uniform_box():
+    """A uniform profile on a box that covers half of BOX."""
+    return UniformBox(SCHEMA, Box(np.array([50.0, 100.0]), np.array([90.0, 400.0])))
+
+
 def _bad_kde(kernel):
     """A KDE of 200 draws from the degraded service, whose mass lies mostly
     in R_BAD."""
@@ -597,18 +609,23 @@ def _bad_kde(kernel):
 
 
 class TestExactBoxMass:
-    """A region that is its own bounding box, on a profile with a closed-form
-    box mass, gets that mass with standard error 0 and no sampling. The
-    benchmark's oracle computes box references with the same box masses, so
-    these comparisons with the sampling integrator are the independent
-    check of this path."""
+    """A region that is its own bounding box gets the profile's box mass with
+    standard error 0 and no sampling, on every profile kind. The benchmark's
+    oracle computes the independent and KDE box references with the same
+    box masses, so these comparisons with the sampling integrator are the
+    independent check of those; the correlated mass is also checked against
+    adaptive quadrature in tests/test_profiles.py."""
 
     @pytest.mark.parametrize("make,text", [
         (independent_profile, BOX),
         (bad_profile, R_BAD_TEXT),
         (lambda: _bad_kde("gaussian"), R_BAD_TEXT),
         (lambda: _bad_kde("exponential"), R_BAD_TEXT),
-    ], ids=["independent-box", "independent-bad", "kde-gaussian-bad", "kde-laplace-bad"])
+        (correlated_profile, BOX),
+        (correlated_profile, R_BAD_TEXT),
+        (_uniform_box, BOX),
+    ], ids=["independent-box", "independent-bad", "kde-gaussian-bad", "kde-laplace-bad",
+            "correlated-box", "correlated-bad", "uniform-box"])
     def test_box_mass_agrees_with_the_integrator(self, calls, make, text):
         region = parse_region(text, SCHEMA)
         profile = make()
@@ -621,11 +638,13 @@ class TestExactBoxMass:
         assert 0.0 < sampled.std_error
         assert abs(est - sampled.value) <= 4.0 * sampled.std_error
 
-    def test_profile_without_box_mass_integrates_once(self, calls):
+    @pytest.mark.parametrize("make", [correlated_profile, _uniform_box],
+                             ids=["correlated", "uniform-box"])
+    def test_every_profile_kind_answers_a_box_exactly(self, calls, make):
         truth, est, se = evaluate_constraint(
-            QoSConstraint(parse_region(BOX, SCHEMA), 0.1, 0.2), correlated_profile(),
-            2_000, RngStream(0))
-        assert len(calls) == 1 and se > 0.0
+            QoSConstraint(parse_region(BOX, SCHEMA), 0.1, 0.2), make(), 2_000,
+            RngStream(0))
+        assert calls == [] and se == 0.0 and 0.0 <= est <= 1.0
 
     def test_row_the_box_implies_keeps_the_exact_path(self, calls):
         # TP + RT <= 400 on the whole box, so the row adds nothing to it
@@ -650,11 +669,11 @@ class TestIntegralMemo:
     any later check that repeats the (region, substream)."""
 
     def test_select_style_rounds_integrate_each_region_once(self, calls, fixtures_dir):
-        # service_c is correlated, so it integrates the box region R_BAD too
+        # R_BAD_CUT has a row its box does not imply, so it is integrated too
         doc = json.loads((fixtures_dir / "profiles" / "service_c.json").read_text())
         good_min = parse_requirement(f"P[{R_GOOD_TEXT}] in [0.6, _]", SCHEMA)
         conjunction = parse_requirement(
-            f"P[{R_GOOD_TEXT}] in [0.6, _] && P[{R_BAD_TEXT}] in [_, 0.3]", SCHEMA)
+            f"P[{R_GOOD_TEXT}] in [0.6, _] && P[{R_BAD_CUT}] in [_, 0.3]", SCHEMA)
         profile = profile_from_dict(doc)
         stream = RngStream(11)
         first = qos_check(profile, good_min, k=20_000, rng=stream)
@@ -668,7 +687,7 @@ class TestIntegralMemo:
 
     @pytest.mark.parametrize("change", ["seed", "k", "region", "index"])
     def test_any_other_input_integrates_again(self, calls, change):
-        box = parse_region(BOX, SCHEMA)
+        box = parse_region(CUT, SCHEMA)
         profile = correlated_profile()
         evaluate_constraint(QoSConstraint(box, 0.1, 0.2), profile, 4_000,
                             RngStream(3).substream(0))
@@ -685,7 +704,7 @@ class TestIntegralMemo:
         assert len(calls) == 2
 
     def test_bounds_and_z_are_decided_afresh(self, calls):
-        box = parse_region(BOX, SCHEMA)
+        box = parse_region(CUT, SCHEMA)
         profile = correlated_profile()
         stream = RngStream(2)
         truth, est, se = evaluate_constraint(QoSConstraint(box, 0.1, 0.2), profile,
@@ -706,7 +725,7 @@ class TestIntegralMemo:
         assert calls == [] and profile not in requirements._INTEGRALS
 
     def test_one_seed_and_k_per_profile(self, calls):
-        box = parse_region(BOX, SCHEMA)
+        box = parse_region(CUT, SCHEMA)
         good = parse_region(R_GOOD_TEXT, SCHEMA)
         profile = correlated_profile()
         for seed in (1, 2):
@@ -724,7 +743,7 @@ class TestIntegralMemo:
 
     def test_dropped_profile_takes_its_entries(self):
         profile = correlated_profile()
-        evaluate_constraint(QoSConstraint(parse_region(BOX, SCHEMA), 0.1, 0.2), profile,
+        evaluate_constraint(QoSConstraint(parse_region(CUT, SCHEMA), 0.1, 0.2), profile,
                             2_000, RngStream(0))
         ref = weakref.ref(profile)
         gc.collect()
@@ -738,7 +757,7 @@ class TestIntegralMemo:
     def test_threads_sharing_a_profile_get_fresh_answers(self):
         # four threads share one (seed, k) and mostly hit the memo, while
         # two others keep replacing its entries with those of another run
-        regions = [parse_region(BOX, SCHEMA), parse_region(R_GOOD_TEXT, SCHEMA)]
+        regions = [parse_region(CUT, SCHEMA), parse_region(R_GOOD_TEXT, SCHEMA)]
         runs = [(1, 2_000)] * 4 + [(2, 2_000), (1, 2_001)]
         keys = [(region, index) for region in regions for index in (0, 1)]
 
