@@ -2,19 +2,22 @@
 
 Multivariate product-kernel KDE with per-axis bandwidths, rule-of-thumb
 bandwidth selectors (Scott, Silverman), and k-fold cross-validated selection
-of the (kernel, bandwidth-scale) combination by held-out log-likelihood.
+of the (kernel, bandwidth-scale) combination by held-out log-likelihood. A
+KDE's box mass is exact, and the mass of any other region is estimated by
+sampling the KDE inside the region's bounding box.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
 
-from .geometry import Box, DimensionMismatchError
+from .geometry import Box, DimensionMismatchError, HPolytope
 from .profiles import AttributeSchema, ProfileError, QoSProfile
 from .rng import as_stream
 
@@ -122,6 +125,7 @@ class _Kernel(NamedTuple):
     log_norm: float
     scale: float
     cdf: Callable
+    ppf: Callable  # the inverse of cdf
     noise: Callable  # noise(gen, size=...) draws unit-bandwidth offsets
 
 
@@ -131,11 +135,17 @@ def _exponential_cdf(u):
     return np.where(u < 0.0, half_tail, 1.0 - half_tail)
 
 
+def _exponential_ppf(p):
+    # p = 0 or 1 gives -inf or +inf, as special.ndtri does
+    with np.errstate(divide="ignore"):
+        return np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 - 2.0 * p))
+
+
 KERNELS = {
     "gaussian": _Kernel(np.square, 2, 0.5 * math.log(2.0 * math.pi), math.sqrt(2.0),
-                        special.ndtr, np.random.Generator.standard_normal),
-    "exponential": _Kernel(np.abs, 1, math.log(2.0), 1.0,
-                           _exponential_cdf, np.random.Generator.laplace),
+                        special.ndtr, special.ndtri, np.random.Generator.standard_normal),
+    "exponential": _Kernel(np.abs, 1, math.log(2.0), 1.0, _exponential_cdf,
+                           _exponential_ppf, np.random.Generator.laplace),
 }
 
 
@@ -154,8 +164,9 @@ class KDEProfile(QoSProfile):
                  bandwidths, fit_info: dict | None = None):
         if kernel not in KERNELS:
             raise LearningError(f"unknown kernel {kernel!r}; choose from {sorted(KERNELS)}")
+        # a record set's observations are already a private read-only copy
         obs = (records.observations if isinstance(records, QoSRecordSet)
-               else np.asarray(records, dtype=float))
+               else np.array(records, dtype=float))
         if obs.ndim != 2 or obs.shape[0] < 1:
             raise LearningError("observations must be a nonempty m x n matrix")
         if obs.shape[1] != schema.dim:
@@ -168,22 +179,28 @@ class KDEProfile(QoSProfile):
         if not np.all((h > 0.0) & np.isfinite(h)):
             raise LearningError("bandwidths must be positive and finite")
         self.schema = schema
-        self.observations = obs.copy()
-        self.observations.setflags(write=False)
+        obs.setflags(write=False)
+        self.observations = obs
         self.kernel = kernel
         self.bandwidths = h.copy()
         self.bandwidths.setflags(write=False)
         self.fit_info = dict(fit_info) if fit_info else {}
         # Evaluation coordinates: centred on the observation mean and divided
-        # by the bandwidths times the kernel's scale. Row j of `_scaled_t`
-        # holds axis j of every observation, contiguous for the per-axis sweep.
+        # by the bandwidths times the kernel's scale.
         shape = KERNELS[kernel]
         self._distance = shape.distance
         self._scale = shape.scale * self.bandwidths
         self._centre = obs.mean(axis=0)
-        self._scaled_t = np.ascontiguousarray(((obs - self._centre) / self._scale).T)
         self._log_norm = (math.log(obs.shape[0]) + float(np.sum(np.log(h)))
                           + schema.dim * shape.log_norm)
+
+    @functools.cached_property
+    def _scaled_t(self) -> np.ndarray:
+        """The observations in evaluation coordinates, row j holding axis j of
+        every observation, contiguous for the per-axis sweep. Built on the
+        first density evaluation: box masses and `region_mass` never need
+        it, and a profile that is only checked does not keep the copy."""
+        return np.ascontiguousarray(((self.observations - self._centre) / self._scale).T)
 
     @property
     def m(self) -> int:
@@ -257,15 +274,69 @@ class KDEProfile(QoSProfile):
         noise = KERNELS[self.kernel].noise(gen, size=(k, self.dim))
         return self.observations[idx] + noise * self.bandwidths
 
-    def box_mass(self, box: Box) -> float:
-        """Exact P(X in box): kernel CDFs factor over axes and observations."""
+    def _box_intervals(self, box: Box):
+        """Each kernel's interval of the box, per axis, in bandwidth units.
+
+        Returns (cdf(lower), mass, flipped), each of shape (m, n), for the
+        interval [lower, upper], with mass = cdf(upper) - cdf(lower).
+        Both kernels are symmetric, so an interval that lies above the
+        kernel's centre is replaced by its mirror image below it (flipped
+        is True there): in the lower tail the CDF keeps its relative
+        precision, where above the centre it rounds towards 1 and a far
+        tail interval's mass cancels to 0.
+        """
         if box.dim != self.dim:
             raise DimensionMismatchError("box dimension must match the profile")
         kernel_cdf = KERNELS[self.kernel].cdf
-        upper = (box.upper - self.observations) / self.bandwidths
         lower = (box.lower - self.observations) / self.bandwidths
-        per_axis = kernel_cdf(upper) - kernel_cdf(lower)
-        return min(max(float(np.mean(np.prod(per_axis, axis=1))), 0.0), 1.0)
+        upper = (box.upper - self.observations) / self.bandwidths
+        flipped = lower > 0.0
+        lower, upper = np.where(flipped, -upper, lower), np.where(flipped, -lower, upper)
+        lower_cdf = kernel_cdf(lower)
+        return lower_cdf, kernel_cdf(upper) - lower_cdf, flipped
+
+    def box_mass(self, box: Box) -> float:
+        """Exact P(X in box): kernel CDFs factor over axes and observations."""
+        _, mass, _ = self._box_intervals(box)
+        return min(max(float(np.mean(np.prod(mass, axis=1))), 0.0), 1.0)
+
+    def region_mass(self, region: HPolytope, k: int, rng) -> tuple:
+        """(estimate, standard error) of P(X in region), by sampling the KDE
+        conditioned on the region's bounding box B.
+
+        P(region) = P(B) * P(region | B), with P(B) the exact `box_mass(B)`.
+        Each kernel's mass in B is the product of its per-axis interval
+        masses, so a draw from the KDE restricted to B picks kernel i with
+        probability proportional to that mass and draws each axis from the
+        kernel truncated to its interval, by the inverse CDF (mirrored
+        intervals are drawn below the centre and negated, as in
+        `_box_intervals`). The share of k such draws that the region's rows
+        not implied by B accept estimates P(region | B); its standard error
+        is binomial, at p = (hits + 1) / (k + 2) so that it stays above 0
+        when no draw or every draw is accepted. A box whose mass underflows
+        to 0 gives (0.0, 0.0) and draws nothing. All draws come from one
+        generator on `rng`, and the cost is O(k + m) instead of the O(k m)
+        of evaluating the density at k points.
+        """
+        if k < 2:
+            raise ValueError("k must be >= 2")
+        box = region.bounding_box
+        lower_cdf, mass, flipped = self._box_intervals(box)
+        weights = np.prod(mass, axis=1)
+        p_box = min(max(float(np.mean(weights)), 0.0), 1.0)
+        if p_box == 0.0:
+            return 0.0, 0.0
+        gen = as_stream(rng).generator()
+        # how many of the k draws each kernel takes, in kernel order
+        idx = np.repeat(np.arange(self.m), gen.multinomial(k, weights / weights.sum()))
+        u = KERNELS[self.kernel].ppf(lower_cdf[idx] + gen.random((k, self.dim)) * mass[idx])
+        u = np.where(flipped[idx], -u, u)
+        # rounding in the inverse CDF may step just past B's faces
+        points = np.clip(self.observations[idx] + u * self.bandwidths,
+                         box.lower, box.upper)
+        hits = int(np.count_nonzero(region.contains_box_points(points)))
+        p = (hits + 1) / (k + 2)
+        return p_box * hits / k, p_box * math.sqrt(p * (1.0 - p) / k)
 
     def covering_box(self) -> Box:
         """Axis-aligned box holding all observations, padded by 10 bandwidths."""

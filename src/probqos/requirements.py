@@ -2,10 +2,11 @@
 
 Parses textual requirements (Boolean combinations of probability-bound
 constraints over linear-inequality regions), evaluates each distinct
-constraint once (exactly for a box region, by the profile's box mass, and
-by Monte Carlo integration otherwise), substitutes the truth values
-into the formula and settles what remains with the DPLL solver. A
-profile's integrals for one seed are kept for the checks that follow.
+constraint once (exactly for a box region, by the profile's box mass; on a
+KDE by sampling the KDE inside the region's bounding box; and by Monte
+Carlo integration otherwise), substitutes the truth values into the
+formula and settles what remains with the DPLL solver. A profile's
+integrals for one seed are kept for the checks that follow.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import sat
 from .geometry import HPolytope
-from .integrate import DEFAULT_SAMPLES, integrate_uniform
+from .integrate import DEFAULT_SAMPLES, _check_schema, integrate_uniform
+from .learning import KDEProfile
 from .profiles import AttributeSchema, QoSProfile
 from .reqast import (
     Bottom,
@@ -427,11 +429,14 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
     standard error 0.0, and draws no samples: every profile kind has one
     (a closed form, or for the correlated profile a one-dimensional
     quadrature), so only regions with a row the box does not imply are
-    integrated.
+    sampled. On a KDE, `KDEProfile.region_mass` samples the KDE inside the
+    region's bounding box, and never evaluates the density; any other
+    profile goes through `integrate_uniform`.
 
-    `integrate_uniform` is a pure function of (profile, region, k, stream):
-    profiles are immutable, and the estimate does not depend on the core
-    count or the chunk size. So the estimate and its standard error are
+    Both are pure functions of (profile, region, k, stream): profiles are
+    immutable, `region_mass` draws from one generator on the stream, and
+    `integrate_uniform`'s estimate does not depend on the core count or
+    the chunk size. So the estimate and its standard error are
     kept per profile, keyed by the region's structural key and the stream's
     id, and a repeated call, as from select's checks of several
     requirements with one seed, returns them without integrating again.
@@ -441,15 +446,15 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
     afresh, as the bounds and confidence_z are not part of the key.
 
     On every path, k below 2 and a negative or non-finite confidence_z
-    raise ValueError.
+    raise ValueError. Unless the bounds are vacuous, a region named otherwise
+    than the profile's schema raises SchemaMismatchError.
     """
     _check_sampling(k, confidence_z)
     if constraint.p_min == 0.0 and constraint.p_max == 1.0:
         return True, 1.0, 0.0
     region = constraint.region
-    # a region named otherwise than the profile's schema goes on to
-    # integrate_uniform, which rejects it
-    if region.box_rows.size == 0 and region.attribute_names == profile.schema.names:
+    _check_schema(profile, region)
+    if region.box_rows.size == 0:
         mass = profile.box_mass(region.bounding_box)
         return _decide(mass, 0.0, constraint, confidence_z), mass, 0.0
     stream = as_stream(rng)
@@ -463,8 +468,11 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
         _INTEGRALS[profile] = (run, integrals)
     key = (region.structural_key(), stream.stream_id)
     if key not in integrals:
-        est = integrate_uniform(profile, region, k, stream)
-        integrals[key] = (est.value, est.std_error)
+        if isinstance(profile, KDEProfile):
+            integrals[key] = profile.region_mass(region, k, stream)
+        else:
+            est = integrate_uniform(profile, region, k, stream)
+            integrals[key] = (est.value, est.std_error)
     value, std_error = integrals[key]
     truth = _decide(value, std_error, constraint, confidence_z)
     return truth, value, std_error

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from probqos import (
     AttributeSchema,
@@ -20,7 +21,7 @@ from probqos import (
 from probqos import learning
 from probqos.geometry import DimensionMismatchError
 from probqos.learning import LearningError
-from probqos.reference import SCHEMA, correlated_profile
+from probqos.reference import R_GOOD_TEXT, SCHEMA, correlated_profile
 
 SCHEMA_XY = AttributeSchema(("x", "y"))
 
@@ -121,6 +122,178 @@ class TestKDEProfile:
         far = parse_region("50 <= x && x <= 51 && 50 <= y && y <= 51", SCHEMA_XY)
         est = integrate_uniform(profile, far, 1_000, RngStream(5))
         assert est.value == pytest.approx(0.0, abs=1e-12)
+
+
+# scipy.stats kernel shapes, independent of learning.KERNELS
+SCIPY_KERNELS = {"gaussian": stats.norm, "exponential": stats.laplace}
+
+
+def quadrature_mass(profile, x_edges, y_lower, y_upper):
+    """P(x_edges[0] <= x <= x_edges[-1], y_lower(x) <= y <= y_upper(x)) of a
+    2-D KDE, by adaptive quadrature over x of the kernels' y-interval
+    masses; the bounds must be smooth in x between consecutive x_edges."""
+    shape = SCIPY_KERNELS[profile.kernel]
+    (hx, hy), obs = profile.bandwidths, profile.observations
+
+    def slab(x):
+        lo = (y_lower(x) - obs[:, 1]) / hy
+        hi = (y_upper(x) - obs[:, 1]) / hy
+        # the difference of survival functions keeps upper-tail masses
+        y_mass = np.where(lo > 0.0, shape.sf(lo) - shape.sf(hi),
+                          shape.cdf(hi) - shape.cdf(lo))
+        return float(np.mean(shape.pdf((x - obs[:, 0]) / hx) / hx * y_mass))
+
+    # piecewise between the kernel centres too, where a Laplace kernel has
+    # its kinks
+    edges = np.unique(np.concatenate([x_edges, np.clip(obs[:, 0], x_edges[0],
+                                                       x_edges[-1])]))
+    return sum(integrate.quad(slab, a, b, limit=200, epsabs=1e-14, epsrel=1e-10)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _observed_points(region):
+    """Make `region` keep every array its membership test is asked about."""
+    seen = []
+    test = region.contains_box_points
+
+    def keeping(points):
+        seen.append(points.copy())
+        return test(points)
+
+    region.contains_box_points = keeping
+    return seen
+
+
+class TestTailSafeBoxMass:
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    def test_far_tail_box_keeps_its_mass(self, kernel):
+        # one kernel at 0, h = 1: x in [30, 31] and its mirror image
+        profile = KDEProfile(SCHEMA_XY, np.zeros((1, 2)), kernel, (1.0, 1.0))
+        upper = profile.box_mass(Box(np.array([30.0, -1e3]), np.array([31.0, 1e3])))
+        lower = profile.box_mass(Box(np.array([-31.0, -1e3]), np.array([-30.0, 1e3])))
+        exact = SCIPY_KERNELS[kernel].sf(30.0) - SCIPY_KERNELS[kernel].sf(31.0)
+        assert upper == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert upper == pytest.approx(lower, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    def test_mirror_image_box_agrees(self, kernel):
+        obs = RngStream(6).generator().standard_normal((40, 2))
+        profile = KDEProfile(SCHEMA_XY, obs, kernel, (0.3, 0.4))
+        mirrored = KDEProfile(SCHEMA_XY, -obs, kernel, (0.3, 0.4))
+        for lo, hi in [([6.0, 8.0], [7.0, 9.0]), ([-1.0, 6.0], [1.0, 7.0]),
+                       ([-0.5, -0.5], [0.5, 0.5])]:
+            lo, hi = np.array(lo), np.array(hi)
+            mass = profile.box_mass(Box(lo, hi))
+            assert mass > 0.0
+            assert mass == pytest.approx(mirrored.box_mass(Box(-hi, -lo)), rel=1e-12,
+                                         abs=0.0)
+
+
+def _records_kde(kernel):
+    """A KDE of 300 draws from the correlated fixture, at the Scott bandwidths."""
+    records = QoSRecordSet(SCHEMA, correlated_profile().sample(300, RngStream(9)))
+    return KDEProfile(SCHEMA, records, kernel, bandwidth_scott(records))
+
+
+class TestRegionMass:
+    """`region_mass` samples the KDE conditioned on the region's bounding box."""
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    @pytest.mark.parametrize("centre", [(-20.0, 0.5), (21.0, 0.5), (0.5, -20.0),
+                                        (0.5, 21.0), (-20.0, -20.0), (21.0, 21.0)])
+    def test_draws_lie_in_the_box(self, kernel, centre):
+        # one kernel 20 bandwidths outside B = [0, 1]^2 on some axis: its
+        # truncated draws pile up near B's face nearest the centre, with the
+        # conditional mean offset of the kernel's tail beyond 20 (about
+        # 1/20 Gaussian, 1 - 1/(e - 1) Laplace, the cut at 21 included)
+        profile = KDEProfile(SCHEMA_XY, np.array([centre]), kernel, (1.0, 1.0))
+        region = parse_region("0 <= x && x <= 1 && 0 <= y && y <= 1 && x + y <= 1.5",
+                              SCHEMA_XY)
+        seen = _observed_points(region)
+        value, std_error = profile.region_mass(region, 4_000, RngStream(1))
+        points = np.concatenate(seen)
+        assert points.shape == (4_000, 2)
+        assert np.all((points >= 0.0) & (points <= 1.0))
+        assert 0.0 < std_error and 0.0 <= value <= profile.box_mass(region.bounding_box)
+        shape = SCIPY_KERNELS[kernel]
+        u = np.linspace(20.0, 21.0, 20_001)
+        tail = shape.pdf(u) / (shape.sf(20.0) - shape.sf(21.0))
+        expected = integrate.trapezoid((u - 20.0) * tail, u)
+        for axis, c in enumerate(centre):
+            if c < 0.0 or c > 1.0:
+                offset = np.abs(points[:, axis] - np.clip(c, 0.0, 1.0))
+                assert np.mean(offset == 0.0) < 0.01
+                bound = 5.0 * offset.std() / math.sqrt(len(offset))
+                assert abs(offset.mean() - expected) <= bound
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    @pytest.mark.parametrize("centre", [-4.7, 5.0])
+    def test_draws_in_a_narrow_box_stay_inside(self, kernel, centre):
+        # across an interval 1e-12 bandwidths wide the inverse CDF rounds
+        # some draws past B's faces
+        profile = KDEProfile(SCHEMA_XY, np.array([[centre, 0.5]]), kernel, (1.0, 1.0))
+        region = parse_region("0.3 <= x && x <= 0.300000000001 && 0 <= y && y <= 1"
+                              " && x + y <= 1.2", SCHEMA_XY)
+        seen = _observed_points(region)
+        profile.region_mass(region, 20_000, RngStream(0))
+        box = region.bounding_box
+        assert np.all((seen[0] >= box.lower) & (seen[0] <= box.upper))
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    def test_calibrated_against_quadrature(self, kernel):
+        # R_GOOD is its bounding box [60, 100] x [0, 300] less RT > 5 TP - 100
+        profile = _records_kde(kernel)
+        region = parse_region(R_GOOD_TEXT, SCHEMA)
+        truth = quadrature_mass(profile, (60.0, 80.0, 100.0), lambda tp: 0.0,
+                                lambda tp: min(300.0, 5.0 * tp - 100.0))
+        runs = np.array([profile.region_mass(region, 2_000, RngStream(seed))
+                         for seed in range(300)])
+        values, errors = runs[:, 0], runs[:, 1]
+        assert abs(values.mean() - truth) <= 4.0 * values.std(ddof=1) / math.sqrt(300)
+        # with 300 runs the sample s.d. has a relative s.e. of about 4 %
+        assert values.std(ddof=1) == pytest.approx(errors.mean(), rel=0.2)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    def test_zero_hits_keep_a_standard_error(self, kernel):
+        # a diagonal band 2e-6 wide: its bounding box is [-3, 3]^2, nearly
+        # all of whose mass lies off the band
+        profile = KDEProfile(SCHEMA_XY, RngStream(7).generator().standard_normal((50, 2)),
+                             kernel, (0.3, 0.3))
+        region = parse_region(
+            "-3 <= x && x <= 3 && x - y <= 1e-6 && y - x <= 1e-6", SCHEMA_XY)
+        value, std_error = profile.region_mass(region, 2_000, RngStream(2))
+        truth = quadrature_mass(profile, (-3.0, 3.0), lambda x: x - 1e-6,
+                                lambda x: x + 1e-6)
+        assert value == 0.0 and std_error > 0.0
+        assert 0.0 < truth <= value + 3.0 * std_error
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    def test_all_hits_keep_a_standard_error(self, kernel):
+        # [-3, 3]^2 less a corner of legs 0.001 at (3, 3), where no kernel
+        # reaches
+        profile = KDEProfile(SCHEMA_XY, RngStream(7).generator().standard_normal((50, 2)),
+                             kernel, (0.3, 0.3))
+        region = parse_region(
+            "-3 <= x && x <= 3 && -3 <= y && y <= 3 && x + y <= 5.999", SCHEMA_XY)
+        value, std_error = profile.region_mass(region, 2_000, RngStream(2))
+        truth = quadrature_mass(profile, (-3.0, 2.999, 3.0), lambda x: -3.0,
+                                lambda x: min(3.0, 5.999 - x))
+        assert value == profile.box_mass(region.bounding_box) and std_error > 0.0
+        assert value - 3.0 * std_error <= truth <= value
+
+    def test_box_beyond_every_kernel(self):
+        # 50 bandwidths out the Gaussian tail mass underflows to 0
+        profile = KDEProfile(SCHEMA_XY, np.zeros((2, 2)), "gaussian", (0.1, 0.1))
+        region = parse_region("5 <= x && x <= 6 && 5 <= y && y <= 6 && x + y <= 11",
+                              SCHEMA_XY)
+        seen = _observed_points(region)
+        assert profile.region_mass(region, 1_000, RngStream(0)) == (0.0, 0.0)
+        assert seen == []
+
+    def test_fewer_than_two_samples_refused(self):
+        region = parse_region(R_GOOD_TEXT, SCHEMA)
+        with pytest.raises(ValueError):
+            _records_kde("gaussian").region_mass(region, 1, RngStream(0))
 
 
 def direct_log_density(obs, h, kernel, x):

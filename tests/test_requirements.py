@@ -24,7 +24,7 @@ from probqos import (
     qos_check,
 )
 from probqos.geometry import UnboundedPolytopeError
-from probqos.integrate import integrate_uniform
+from probqos.integrate import SchemaMismatchError, integrate_uniform
 from probqos.learning import KDEProfile
 from probqos.reqast import (
     Bottom,
@@ -662,6 +662,51 @@ class TestExactBoxMass:
         truth, est, se = evaluate_constraint(QoSConstraint(region, 0.1, 0.2),
                                              independent_profile(), 2_000, RngStream(0))
         assert len(calls) == 1 and se > 0.0
+
+
+class TestKDEConditionalSampling:
+    """A KDE answers a region with a row its bounding box does not imply by
+    sampling itself inside that box (`KDEProfile.region_mass`), without
+    `integrate_uniform` and without evaluating its density."""
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    def test_check_samples_each_region_once(self, calls, monkeypatch, kernel):
+        densities, sampled = [], []
+        region_mass = KDEProfile.region_mass
+
+        def counting(profile, region, k, rng):
+            sampled.append((region.structural_key(), k, rng))
+            return region_mass(profile, region, k, rng)
+
+        monkeypatch.setattr(KDEProfile, "region_mass", counting)
+        monkeypatch.setattr(KDEProfile, "log_density",
+                            lambda profile, points: densities.append(points))
+        obs = correlated_profile().sample(300, RngStream(9))
+        good_min = parse_requirement(f"P[{R_GOOD_TEXT}] in [0.6, _]", SCHEMA)
+        conjunction = parse_requirement(
+            f"P[{R_GOOD_TEXT}] in [0.6, _] && P[{R_BAD_TEXT}] in [_, 0.3]", SCHEMA)
+        profile = KDEProfile(SCHEMA, obs, kernel, [4.0, 40.0])
+        stream = RngStream(4)
+        first = qos_check(profile, conjunction, k=10_000, rng=stream)
+        # R_GOOD on substream 0 is sampled; R_BAD, a box, is exact
+        assert [row.std_error > 0.0 for row in first.constraint_table] == [True, False]
+        assert sampled == [(parse_region(R_GOOD_TEXT, SCHEMA).structural_key(), 10_000,
+                            stream.substream(0))]
+        again = [qos_check(profile, req, k=10_000, rng=stream)
+                 for req in (good_min, conjunction)]
+        assert len(sampled) == 1
+        fresh = qos_check(KDEProfile(SCHEMA, obs, kernel, [4.0, 40.0]), conjunction,
+                          k=10_000, rng=stream)
+        assert len(sampled) == 2 and again[1].to_dict() == fresh.to_dict() == first.to_dict()
+        assert again[0].constraint_table[0] == first.constraint_table[0]
+        assert calls == [] and densities == []
+
+    @pytest.mark.parametrize("text", [R_GOOD_TEXT, R_BAD_TEXT], ids=["sampled", "box"])
+    def test_region_named_otherwise_refused(self, text):
+        region = parse_region(text, AttributeSchema(("RT", "TP")))
+        with pytest.raises(SchemaMismatchError):
+            evaluate_constraint(QoSConstraint(region, 0.1, 0.2), _bad_kde("gaussian"),
+                                2_000, RngStream(0))
 
 
 class TestIntegralMemo:
