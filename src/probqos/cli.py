@@ -120,8 +120,6 @@ def _cmd_select(args) -> int:
 def _cmd_learn(args) -> int:
     records = QoSRecordSet.from_csv(args.records)
     if args.cv:
-        if records.m < CV_FOLDS:
-            raise LearningError(f"--cv needs at least {CV_FOLDS} records, got {records.m}")
         profile = fit_kde_cv(records, rng=RngStream(args.seed))
     else:
         rule = bandwidth_scott if args.bandwidth == "scott" else bandwidth_silverman

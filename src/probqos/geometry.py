@@ -307,6 +307,31 @@ class HPolytope:
         """
         return np.all(points @ self._box_A.T <= self._box_b, axis=1)
 
+    def slice_bounds(self, points: np.ndarray):
+        """(lower, upper): the last coordinate's range where the rows in
+        `box_rows` hold, at each row x' of a (k, n - 1) array of the other
+        coordinates.
+
+        A row with a positive last coefficient bounds the range above, a
+        negative one below; a side no row bounds is -inf or inf. A row with
+        a zero last coefficient tests x' alone, and where it fails the
+        range is empty (upper = -inf). The bounding box's own faces are not
+        applied.
+        """
+        k = points.shape[0]
+        lower, upper = np.full(k, -np.inf), np.full(k, np.inf)
+        # one pass per row: box_rows holds a few rows, k runs to millions
+        for row, bound in zip(self._box_A, self._box_b):
+            coef = row[-1]
+            slack = bound - points @ row[:-1]
+            if coef > 0.0:
+                np.minimum(upper, slack / coef, out=upper)
+            elif coef < 0.0:
+                np.maximum(lower, slack / coef, out=lower)
+            else:
+                upper[slack < 0.0] = -np.inf
+        return lower, upper
+
     def structural_key(self):
         """Hashable identity used to deduplicate structurally equal regions."""
         return (

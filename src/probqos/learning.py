@@ -3,8 +3,10 @@
 Multivariate product-kernel KDE with per-axis bandwidths, rule-of-thumb
 bandwidth selectors (Scott, Silverman), and k-fold cross-validated selection
 of the (kernel, bandwidth-scale) combination by held-out log-likelihood. A
-KDE's box mass is exact, and the mass of any other region is estimated by
-sampling the KDE inside the region's bounding box.
+KDE's box mass is exact. The mass of any other region is estimated by
+drawing the first n - 1 axes from the KDE inside the region's bounding box,
+stratified along the first, and integrating the last axis over the region's
+slice exactly, from the kernel CDFs.
 """
 
 from __future__ import annotations
@@ -301,20 +303,29 @@ class KDEProfile(QoSProfile):
         return min(max(float(np.mean(np.prod(mass, axis=1))), 0.0), 1.0)
 
     def region_mass(self, region: HPolytope, k: int, rng) -> tuple:
-        """(estimate, standard error) of P(X in region), by sampling the KDE
-        conditioned on the region's bounding box B.
+        """(estimate, standard error) of P(X in region): the KDE is sampled
+        inside the region's bounding box B on its first n - 1 axes x', and
+        integrated exactly along the last.
 
-        P(region) = P(B) * P(region | B), with P(B) the exact `box_mass(B)`.
-        Each kernel's mass in B is the product of its per-axis interval
-        masses, so a draw from the KDE restricted to B picks kernel i with
-        probability proportional to that mass and draws each axis from the
-        kernel truncated to its interval, by the inverse CDF (mirrored
-        intervals are drawn below the centre and negated, as in
-        `_box_intervals`). The share of k such draws that the region's rows
-        not implied by B accept estimates P(region | B); its standard error
-        is binomial, at p = (hits + 1) / (k + 2) so that it stays above 0
-        when no draw or every draw is accepted. A box whose mass underflows
-        to 0 gives (0.0, 0.0) and draws nothing. All draws come from one
+        P(region) = P(B) * E[w(X')], with P(B) the exact `box_mass(B)` and
+        X' drawn from the KDE restricted to B: kernel i with probability
+        proportional to its mass in B, each axis from the kernel truncated
+        to B by the inverse CDF. w is kernel i's last-axis mass over the
+        region's slice at x' (`HPolytope.slice_bounds`, cut to B's last
+        side), over its last-axis mass over that side of B: 1 less the
+        masses that the slice cuts off below and above, each formed in the
+        mirrored frame of `_box_intervals`. A kernel CDF is evaluated only
+        at a slice end that lies inside B's side.
+
+        The draws are stratified along the first axis: [0, 1) is split into
+        h = k // 2 equal strata with two uniforms in each (so an odd k
+        draws k - 1 points). One uniform picks the kernel by cumulative
+        mass, and its remainder within that kernel places axis 0; the
+        middle axes are i.i.d. The estimate is P(B) * mean(w), and the
+        standard error P(B) * sqrt(sum over strata of (w1 - w2)^2) / (2 h).
+        It is 0 when every stratum's two draws have equal w, as when w is 1
+        (or 0) wherever the KDE puts mass. A box whose mass underflows to 0
+        gives (0.0, 0.0) and draws nothing. All draws come from one
         generator on `rng`, and the cost is O(k + m) instead of the O(k m)
         of evaluating the density at k points.
         """
@@ -326,17 +337,83 @@ class KDEProfile(QoSProfile):
         p_box = min(max(float(np.mean(weights)), 0.0), 1.0)
         if p_box == 0.0:
             return 0.0, 0.0
+        kernel = KERNELS[self.kernel]
         gen = as_stream(rng).generator()
-        # how many of the k draws each kernel takes, in kernel order
-        idx = np.repeat(np.arange(self.m), gen.multinomial(k, weights / weights.sum()))
-        u = KERNELS[self.kernel].ppf(lower_cdf[idx] + gen.random((k, self.dim)) * mass[idx])
-        u = np.where(flipped[idx], -u, u)
-        # rounding in the inverse CDF may step just past B's faces
-        points = np.clip(self.observations[idx] + u * self.bandwidths,
-                         box.lower, box.upper)
-        hits = int(np.count_nonzero(region.contains_box_points(points)))
-        p = (hits + 1) / (k + 2)
-        return p_box * hits / k, p_box * math.sqrt(p * (1.0 - p) / k)
+        strata = k // 2
+        u = gen.random(2 * strata)
+        # each stratum's pair in order, so that u is sorted
+        low = np.minimum(u[0::2], u[1::2])
+        np.maximum(u[0::2], u[1::2], out=u[1::2])
+        u[0::2] = low
+        level = np.arange(strata, dtype=float)
+        u[0::2] += level
+        u[1::2] += level
+        u /= strata
+        # one row per kernel: where its share of the first uniform starts,
+        # and how long it is; per axis of x', its centre, signed bandwidth
+        # (negative where the interval is mirrored), cdf(lower) and mass;
+        # and for the last axis its centre, signed bandwidth, the CDF of
+        # (y - centre) / signed bandwidth at B's lower and upper faces, and
+        # their difference, the signed mass (negative where mirrored)
+        stop = np.cumsum(weights)
+        stop /= stop[-1]
+        start = np.concatenate(([0.0], stop[:-1]))
+        signed_h = np.where(flipped, -self.bandwidths, self.bandwidths)
+        last_lower = lower_cdf[:, -1]
+        faces = np.where(flipped[:, -1], [last_lower + mass[:, -1], last_lower],
+                         [last_lower, last_lower + mass[:, -1]])
+        table = np.array(
+            [start, stop - start]
+            + [a[:, j] for j in range(self.dim - 1)
+               for a in (self.observations, signed_h, lower_cdf, mass)]
+            + [self.observations[:, -1], signed_h[:, -1], *faces, faces[1] - faces[0]])
+        # a kernel whose share rounds to nothing takes no draw
+        if not np.all(stop > start):
+            table, stop = table[:, stop > start], stop[stop > start]
+        # u is sorted, so each kernel's draws are one run of it. A row is
+        # gathered where it is used and then dropped: k-long temporaries
+        # that pile up past the allocator's trim threshold are mapped
+        # afresh, page by page, on every call.
+        counts = np.diff(np.searchsorted(u, stop[:-1]), prepend=0, append=u.size)
+        kernel_of = np.repeat(np.arange(table.shape[1]), counts)
+        x = np.empty((u.size, self.dim - 1))
+        for j in range(self.dim - 1):
+            centre, h, cdf_lower, mass_j = table[2 + 4 * j:6 + 4 * j]
+            if j == 0:
+                p = u - table[0][kernel_of]
+                p /= table[1][kernel_of]
+                np.clip(p, 0.0, 1.0, out=p)
+            else:
+                p = gen.random(u.size)
+            p *= mass_j[kernel_of]
+            p += cdf_lower[kernel_of]
+            p = kernel.ppf(p)
+            p *= h[kernel_of]
+            p += centre[kernel_of]
+            # rounding in the inverse CDF may step just past B's faces
+            np.clip(p, box.lower[j], box.upper[j], out=x[:, j])
+        centre, h, at_lower, at_upper, signed_mass = table[-5:]
+        # w = 1 less the kernel's mass cut off below and above the slice,
+        # over its mass across B's last side: a CDF is evaluated only where
+        # an end of the slice lies inside that side, and where neither
+        # does w is exactly 1
+        w = np.ones(u.size)
+        lower, upper = region.slice_bounds(x)
+        for end, at_face, inside, sign in ((lower, at_lower, lower > box.lower[-1], 1.0),
+                                           (upper, at_upper, upper < box.upper[-1], -1.0)):
+            i = np.flatnonzero(inside)
+            ki = kernel_of[i]
+            cut = end[i]
+            cut -= centre[ki]
+            cut /= h[ki]
+            cut = kernel.cdf(cut)
+            cut -= at_face[ki]
+            cut /= sign * signed_mass[ki]
+            w[i] -= cut
+        np.clip(w, 0.0, 1.0, out=w)
+        diffs = w[0::2] - w[1::2]
+        return (p_box * float(np.mean(w)),
+                p_box * math.sqrt(float(np.dot(diffs, diffs))) / (2.0 * strata))
 
     def covering_box(self) -> Box:
         """Axis-aligned box holding all observations, padded by 10 bandwidths."""

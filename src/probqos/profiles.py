@@ -4,7 +4,8 @@ Each profile supports pointwise density evaluation (what the Monte Carlo
 integrator needs), forward sampling (what the learning tests and oracles
 need) and the exact mass of an axis-aligned box (what a box region is
 answered with). Built-in families: independent products of Gaussian/Gamma
-marginals (box mass: the product of the marginal CDF differences), the
+marginals (box mass: the product of the marginal interval masses, each
+formed from the upper tail above the mean), the
 negatively-correlated throughput/response-time composite (box mass: a
 one-dimensional quadrature over TP of the conditional Gamma CDF
 difference), and a uniform box used as a constant-density fixture (box
@@ -73,7 +74,9 @@ class Marginal(ABC):
         """Log density; -inf outside the support."""
 
     @abstractmethod
-    def cdf(self, x: np.ndarray) -> np.ndarray: ...
+    def interval_mass(self, lower: float, upper: float) -> float:
+        """P(lower <= X <= upper), formed from the upper tail above the
+        mean, so that a far upper-tail interval keeps its mass."""
 
     @abstractmethod
     def sample(self, gen: np.random.Generator, k: int) -> np.ndarray: ...
@@ -97,9 +100,10 @@ class GaussianMarginal(Marginal):
         z -= math.log(self.sd * math.sqrt(2.0 * math.pi))
         return z
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return special.ndtr((x - self.mean) / self.sd)
+    def interval_mass(self, lower, upper):
+        a, b = (lower - self.mean) / self.sd, (upper - self.mean) / self.sd
+        return float(special.ndtr(-a) - special.ndtr(-b) if a > 0.0
+                     else special.ndtr(b) - special.ndtr(a))
 
     def sample(self, gen, k):
         return gen.normal(self.mean, self.sd, size=k)
@@ -112,6 +116,23 @@ def _gamma_logpdf(x: np.ndarray, shape, rate: float) -> np.ndarray:
     out -= rate * x
     out += shape * math.log(rate)
     out -= special.gammaln(shape)
+    return out
+
+
+def _gamma_interval_mass(shape: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """P(lo <= X <= hi) for X ~ Gamma(shape, 1), 0 <= lo <= hi, per shape.
+
+    Where lo lies above the mean (and so above the median) the mass is
+    Q(hi) - Q(lo) of the upper regularised incomplete gamma function, which
+    keeps its relative precision in the upper tail, and elsewhere
+    P(hi) - P(lo); each shape evaluates one of the two forms.
+    """
+    out = np.empty(shape.shape)
+    upper = lo > shape
+    s = shape[upper]
+    out[upper] = special.gammaincc(s, lo) - special.gammaincc(s, hi)
+    s = shape[~upper]
+    out[~upper] = special.gammainc(s, hi) - special.gammainc(s, lo)
     return out
 
 
@@ -131,9 +152,9 @@ class GammaMarginal(Marginal):
             out = _gamma_logpdf(x, self.shape, self.rate)
         return out if pos.all() else np.where(pos, out, -np.inf)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return special.gammainc(self.shape, self.rate * np.clip(x, 0.0, None))
+    def interval_mass(self, lower, upper):
+        return float(_gamma_interval_mass(np.array([self.shape]), self.rate * max(lower, 0.0),
+                                          self.rate * max(upper, 0.0))[0])
 
     def sample(self, gen, k):
         return gen.gamma(self.shape, 1.0 / self.rate, size=k)
@@ -207,12 +228,13 @@ class IndependentProduct(QoSProfile):
         return np.column_stack(cols)
 
     def box_mass(self, box):
-        """Closed-form P(X in box) = prod_i (F_i(upper_i) - F_i(lower_i))."""
+        """Closed-form P(X in box) = prod_i (F_i(upper_i) - F_i(lower_i)),
+        each factor the marginal's tail-safe `interval_mass`."""
         if box.dim != self.dim:
             raise DimensionMismatchError("box dimension must match profile")
         prob = 1.0
         for j, marg in enumerate(self.marginals):
-            prob *= float(marg.cdf(box.upper[j]) - marg.cdf(box.lower[j]))
+            prob *= marg.interval_mass(float(box.lower[j]), float(box.upper[j]))
         return min(max(prob, 0.0), 1.0)
 
 
@@ -298,7 +320,10 @@ class CorrelatedTPRT(QoSProfile):
         """P(X in box) = integral over the box's TP range of
         phi(tp) * (G(s(tp), beta * hi) - G(s(tp), beta * lo)), with phi the
         TP density, s the conditional shape, G the regularised lower
-        incomplete gamma and [lo, hi] the box's RT range clipped at 0.
+        incomplete gamma and [lo, hi] the box's RT range clipped at 0. At a
+        node where beta * lo lies above s(tp), the difference is formed
+        from the upper incomplete gamma instead (`_gamma_interval_mass`),
+        so that a far-tail RT range keeps its mass.
 
         The TP range is clipped to mu +/- 40 sd, beyond which phi underflows
         to 0, and to the side of mu * (alpha + 1) where s > 0 (below it for
@@ -321,7 +346,7 @@ class CorrelatedTPRT(QoSProfile):
         tp = lo + (hi - lo) * nodes
         shape = self._conditional_shape(tp)
         rt_lo, rt_hi = (self.beta * max(float(v), 0.0) for v in (box.lower[1], box.upper[1]))
-        rt_mass = special.gammainc(shape, rt_hi) - special.gammainc(shape, rt_lo)
+        rt_mass = _gamma_interval_mass(shape, rt_lo, rt_hi)
         phi = np.exp(self._tp.logpdf(tp))
         mass = (hi - lo) * float(np.dot(weights * phi, rt_mass))
         return min(max(mass, 0.0), 1.0)

@@ -3,8 +3,10 @@
 Parses textual requirements (Boolean combinations of probability-bound
 constraints over linear-inequality regions), evaluates each distinct
 constraint once (exactly for a box region, by the profile's box mass; on a
-KDE by sampling the KDE inside the region's bounding box; and by Monte
-Carlo integration otherwise), substitutes the truth values into the
+KDE by sampling the KDE's first n - 1 axes inside the region's bounding
+box, stratified along the first, and integrating the last axis over the
+region's slice exactly; and by Monte Carlo integration otherwise),
+substitutes the truth values into the
 formula and settles what remains with the DPLL solver. A profile's
 integrals for one seed are kept for the checks that follow.
 """
@@ -429,9 +431,12 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
     standard error 0.0, and draws no samples: every profile kind has one
     (a closed form, or for the correlated profile a one-dimensional
     quadrature), so only regions with a row the box does not imply are
-    sampled. On a KDE, `KDEProfile.region_mass` samples the KDE inside the
-    region's bounding box, and never evaluates the density; any other
-    profile goes through `integrate_uniform`.
+    sampled. On a KDE, `KDEProfile.region_mass` draws the first n - 1
+    axes inside the region's bounding box, stratified along the first,
+    integrates the last axis over the region's slice exactly, and never
+    evaluates the density; its standard error comes from the strata's
+    pairs, and is 0 when every pair has equal weight. Any other profile
+    goes through `integrate_uniform`.
 
     Both are pure functions of (profile, region, k, stream): profiles are
     immutable, `region_mass` draws from one generator on the stream, and

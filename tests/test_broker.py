@@ -366,8 +366,7 @@ class TestCLI:
         code, _, err = self.run(capsys, "learn", str(csv_path), "-o",
                                 str(tmp_path / "out.json"), "--cv")
         assert code == 10
-        assert "--cv needs at least 5 records, got 3" in err
-        assert "folds" not in err
+        assert "need at least 5 records for 5 folds, got 3" in err
 
     def test_integrate(self, capsys, tmp_path):
         profile = tmp_path / "p.json"

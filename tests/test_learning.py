@@ -152,15 +152,15 @@ def quadrature_mass(profile, x_edges, y_lower, y_upper):
 
 
 def _observed_points(region):
-    """Make `region` keep every array its membership test is asked about."""
+    """Make `region` keep every x' array its slices are asked about."""
     seen = []
-    test = region.contains_box_points
+    bounds = region.slice_bounds
 
     def keeping(points):
         seen.append(points.copy())
-        return test(points)
+        return bounds(points)
 
-    region.contains_box_points = keeping
+    region.slice_bounds = keeping
     return seen
 
 
@@ -195,36 +195,92 @@ def _records_kde(kernel):
     return KDEProfile(SCHEMA, records, kernel, bandwidth_scott(records))
 
 
+SCHEMA_XYZ = AttributeSchema(("x", "y", "z"))
+# [0, 1]^3 cut by a row with a zero last coefficient, and by a lower and an
+# upper end of the z-slice that cross where 2 x + y > 2
+CUT_CUBE_TEXT = ("0 <= x && x <= 1 && 0 <= y && y <= 1 && 0 <= z && z <= 1"
+                 " && x + y <= 1.5 && z >= x + y - 1 && z <= 1 - x")
+
+
+def quadrature_cut_cube(profile, nodes=24):
+    """P(X in CUT_CUBE_TEXT) of a 3-D KDE: Gauss-Legendre quadrature over x
+    and y, in pieces between the points where the integrand kinks (the
+    bounds, and for the Laplace kernel every kernel centre), of the kernels'
+    z-slice masses."""
+    shape = SCIPY_KERNELS[profile.kernel]
+    h, obs = profile.bandwidths, profile.observations
+    rule = np.polynomial.legendre.leggauss(nodes)
+
+    def pieces(cuts, lo, hi):
+        """Nodes and weights of the rule on each piece of [lo, hi]."""
+        cuts = np.unique(np.clip(np.concatenate([[lo, hi], cuts]), lo, hi))
+        a, b = cuts[:-1, None], cuts[1:, None]
+        return ((a + b + (b - a) * rule[0]) / 2).ravel(), ((b - a) * rule[1] / 2).ravel()
+
+    total = 0.0
+    for x, wx in zip(*pieces(np.concatenate([[0.5], obs[:, 0], 1.0 - obs[:, 2]]),
+                             0.0, 1.0)):
+        top = min(1.0, 1.5 - x, 2.0 - 2.0 * x)
+        y, wy = pieces(np.concatenate([[1.0 - x], obs[:, 1], 1.0 + obs[:, 2] - x]),
+                       0.0, top)
+        a = (np.maximum(0.0, x + y - 1.0)[:, None] - obs[:, 2]) / h[2]
+        b = (1.0 - x - obs[:, 2]) / h[2]
+        z_mass = np.where(a > 0.0, shape.sf(a) - shape.sf(b), shape.cdf(b) - shape.cdf(a))
+        density = (shape.pdf((x - obs[:, 0]) / h[0]) / h[0]
+                   * shape.pdf((y[:, None] - obs[:, 1]) / h[1]) / h[1])
+        total += wx * float(wy @ np.mean(density * np.clip(z_mass, 0.0, None), axis=1))
+    return total
+
+
+def _calibration(profile, region, k, seeds, truth):
+    """Run `region_mass` on `seeds` seeds; assert that the mean lies within 4
+    s.e. of `truth` and the s.d. within 20 % of the mean reported s.e. (with
+    200 runs the s.d.'s own relative s.e. is about 5 %)."""
+    runs = np.array([profile.region_mass(region, k, RngStream(seed))
+                     for seed in range(seeds)])
+    values, errors = runs[:, 0], runs[:, 1]
+    assert abs(values.mean() - truth) <= 4.0 * values.std(ddof=1) / math.sqrt(seeds)
+    assert values.std(ddof=1) == pytest.approx(errors.mean(), rel=0.2)
+
+
 class TestRegionMass:
-    """`region_mass` samples the KDE conditioned on the region's bounding box."""
+    """`region_mass` draws x' from the KDE conditioned on the region's
+    bounding box B, and integrates the last axis over the region's slice."""
 
     @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
     @pytest.mark.parametrize("centre", [(-20.0, 0.5), (21.0, 0.5), (0.5, -20.0),
                                         (0.5, 21.0), (-20.0, -20.0), (21.0, 21.0)])
     def test_draws_lie_in_the_box(self, kernel, centre):
         # one kernel 20 bandwidths outside B = [0, 1]^2 on some axis: its
-        # truncated draws pile up near B's face nearest the centre, with the
-        # conditional mean offset of the kernel's tail beyond 20 (about
-        # 1/20 Gaussian, 1 - 1/(e - 1) Laplace, the cut at 21 included)
+        # truncated draws of x pile up near B's face nearest the centre,
+        # with the conditional mean offset of the kernel's tail beyond 20
+        # (about 1/20 Gaussian, 1 - 1/(e - 1) Laplace, the cut at 21
+        # included)
         profile = KDEProfile(SCHEMA_XY, np.array([centre]), kernel, (1.0, 1.0))
         region = parse_region("0 <= x && x <= 1 && 0 <= y && y <= 1 && x + y <= 1.5",
                               SCHEMA_XY)
         seen = _observed_points(region)
         value, std_error = profile.region_mass(region, 4_000, RngStream(1))
         points = np.concatenate(seen)
-        assert points.shape == (4_000, 2)
+        assert points.shape == (4_000, 1)
         assert np.all((points >= 0.0) & (points <= 1.0))
-        assert 0.0 < std_error and 0.0 <= value <= profile.box_mass(region.bounding_box)
+        p_box = profile.box_mass(region.bounding_box)
+        if np.all(points < 0.5):
+            # no slice ends below y = 1, so every w is 1
+            assert value == p_box and std_error == 0.0
+        else:
+            assert 0.0 < std_error and 0.0 < value <= p_box
+        if 0.0 <= centre[0] <= 1.0:
+            return
         shape = SCIPY_KERNELS[kernel]
         u = np.linspace(20.0, 21.0, 20_001)
         tail = shape.pdf(u) / (shape.sf(20.0) - shape.sf(21.0))
         expected = integrate.trapezoid((u - 20.0) * tail, u)
-        for axis, c in enumerate(centre):
-            if c < 0.0 or c > 1.0:
-                offset = np.abs(points[:, axis] - np.clip(c, 0.0, 1.0))
-                assert np.mean(offset == 0.0) < 0.01
-                bound = 5.0 * offset.std() / math.sqrt(len(offset))
-                assert abs(offset.mean() - expected) <= bound
+        offset = np.abs(points[:, 0] - np.clip(centre[0], 0.0, 1.0))
+        assert np.mean(offset == 0.0) < 0.01
+        # stratified draws vary less than i.i.d. ones, so the bound is loose
+        bound = 5.0 * offset.std() / math.sqrt(len(offset))
+        assert abs(offset.mean() - expected) <= bound
 
     @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
     @pytest.mark.parametrize("centre", [-4.7, 5.0])
@@ -237,7 +293,18 @@ class TestRegionMass:
         seen = _observed_points(region)
         profile.region_mass(region, 20_000, RngStream(0))
         box = region.bounding_box
-        assert np.all((seen[0] >= box.lower) & (seen[0] <= box.upper))
+        assert seen[0].shape == (20_000, 1)
+        assert np.all((seen[0] >= box.lower[0]) & (seen[0] <= box.upper[0]))
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    def test_strata_beat_the_iid_rate(self, kernel):
+        # ten times the draws cut an i.i.d. estimator's s.e. by sqrt(10),
+        # to 0.32 of it; stratifying the first axis cuts it to about 0.13
+        profile = _records_kde(kernel)
+        region = parse_region(R_GOOD_TEXT, SCHEMA)
+        errors = {k: np.mean([profile.region_mass(region, k, RngStream(seed))[1]
+                              for seed in range(20)]) for k in (2_000, 20_000)}
+        assert errors[20_000] < 0.2 * errors[2_000]
 
     @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
     def test_calibrated_against_quadrature(self, kernel):
@@ -246,17 +313,36 @@ class TestRegionMass:
         region = parse_region(R_GOOD_TEXT, SCHEMA)
         truth = quadrature_mass(profile, (60.0, 80.0, 100.0), lambda tp: 0.0,
                                 lambda tp: min(300.0, 5.0 * tp - 100.0))
-        runs = np.array([profile.region_mass(region, 2_000, RngStream(seed))
-                         for seed in range(300)])
-        values, errors = runs[:, 0], runs[:, 1]
-        assert abs(values.mean() - truth) <= 4.0 * values.std(ddof=1) / math.sqrt(300)
-        # with 300 runs the sample s.d. has a relative s.e. of about 4 %
-        assert values.std(ddof=1) == pytest.approx(errors.mean(), rel=0.2)
+        _calibration(profile, region, 2_000, 300, truth)
 
     @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
-    def test_zero_hits_keep_a_standard_error(self, kernel):
+    def test_three_attributes_calibrated_against_quadrature(self, kernel):
+        # the z-slice is empty where 2 x + y > 2, and x + y <= 1.5 tests x'
+        # alone
+        obs = RngStream(3).generator().normal(0.5, 0.3, (12, 3))
+        profile = KDEProfile(SCHEMA_XYZ, obs, kernel, (0.2, 0.2, 0.2))
+        region = parse_region(CUT_CUBE_TEXT, SCHEMA_XYZ)
+        last = region.constraint_matrix[region.box_rows, -1]
+        assert sorted(last) == [-1.0, 0.0, 1.0]
+        _calibration(profile, region, 2_000, 200, quadrature_cut_cube(profile))
+
+    def test_empty_slice_and_failed_row_give_no_mass(self):
+        # one narrow kernel near (0.9, 0.9, 0.5): 2 x + y > 2 empties the
+        # z-slice, and x + y > 1.5 fails the zero-last-coefficient row
+        profile = KDEProfile(SCHEMA_XYZ, np.array([[0.9, 0.9, 0.5]]), "gaussian",
+                             (0.01, 0.01, 0.2))
+        region = parse_region(CUT_CUBE_TEXT, SCHEMA_XYZ)
+        seen = _observed_points(region)
+        value, std_error = profile.region_mass(region, 2_000, RngStream(0))
+        lower, upper = region.slice_bounds(seen[0])
+        assert np.all(np.isneginf(upper) | (upper < lower))
+        assert value == 0.0 and std_error == 0.0
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    def test_thin_diagonal_band_is_integrated(self, kernel):
         # a diagonal band 2e-6 wide: its bounding box is [-3, 3]^2, nearly
-        # all of whose mass lies off the band
+        # all of whose mass lies off the band, yet every draw of x has a
+        # slice of the band and so a w above 0
         profile = KDEProfile(SCHEMA_XY, RngStream(7).generator().standard_normal((50, 2)),
                              kernel, (0.3, 0.3))
         region = parse_region(
@@ -264,22 +350,78 @@ class TestRegionMass:
         value, std_error = profile.region_mass(region, 2_000, RngStream(2))
         truth = quadrature_mass(profile, (-3.0, 3.0), lambda x: x - 1e-6,
                                 lambda x: x + 1e-6)
-        assert value == 0.0 and std_error > 0.0
-        assert 0.0 < truth <= value + 3.0 * std_error
+        assert 0.0 < std_error < 0.05 * value
+        assert abs(value - truth) <= 4.0 * std_error
 
     @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
-    def test_all_hits_keep_a_standard_error(self, kernel):
-        # [-3, 3]^2 less a corner of legs 0.001 at (3, 3), where no kernel
-        # reaches
+    def test_region_holding_the_draws_reports_no_error(self, kernel):
+        # [-3, 3]^2 less a corner of legs 0.001 at (3, 3), which no draw of
+        # x reaches: no slice ends inside B, so every w is 1, the estimate
+        # is P(B) and its s.e. 0. The corner's own mass (4e-11 for the
+        # Laplace kernel) is then missed: s.e. 0 says only that every
+        # stratum's two draws had equal w
         profile = KDEProfile(SCHEMA_XY, RngStream(7).generator().standard_normal((50, 2)),
                              kernel, (0.3, 0.3))
         region = parse_region(
             "-3 <= x && x <= 3 && -3 <= y && y <= 3 && x + y <= 5.999", SCHEMA_XY)
+        seen = _observed_points(region)
         value, std_error = profile.region_mass(region, 2_000, RngStream(2))
         truth = quadrature_mass(profile, (-3.0, 2.999, 3.0), lambda x: -3.0,
                                 lambda x: min(3.0, 5.999 - x))
-        assert value == profile.box_mass(region.bounding_box) and std_error > 0.0
-        assert value - 3.0 * std_error <= truth <= value
+        assert np.all(seen[0] < 2.999)
+        assert value == profile.box_mass(region.bounding_box) and std_error == 0.0
+        assert 0.0 <= value - truth <= 1e-10
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    def test_slice_in_a_far_upper_tail_keeps_its_mass(self, kernel):
+        # one kernel 30 bandwidths below B = [0, 1]^2 in y, and y >= x / 2:
+        # the slice [x / 2, 1] lies far up the kernel's tail, where
+        # cdf(upper) - cdf(lower) would round to 0
+        profile = KDEProfile(SCHEMA_XY, np.array([[0.5, -30.0]]), kernel, (1.0, 1.0))
+        region = parse_region("0 <= x && x <= 1 && 0 <= y && y <= 1 && 2 * y >= x",
+                              SCHEMA_XY)
+        value, std_error = profile.region_mass(region, 2_000, RngStream(3))
+        shape = SCIPY_KERNELS[kernel]
+
+        def conditional(x):
+            # w(x) times the density of x given x in [0, 1]
+            w = (shape.sf(30.0 + x / 2.0) - shape.sf(31.0)) / (shape.sf(30.0) - shape.sf(31.0))
+            return w * shape.pdf(x - 0.5) / (shape.cdf(0.5) - shape.cdf(-0.5))
+
+        mean_w = integrate.quad(conditional, 0.0, 1.0, points=[0.5], epsrel=1e-12)[0]
+        p_box = profile.box_mass(region.bounding_box)
+        assert p_box > 0.0 and 0.0 < std_error
+        assert abs(value / p_box - mean_w) <= 4.0 * std_error / p_box
+
+    def test_w_stepping_inside_a_stratum(self):
+        # two kernels of equal mass in B: the first uniform's stratum
+        # [1/3, 2/3) straddles the switch from one to the other at 1/2, where
+        # w steps from 1 to about 0.001. The pairs' variance estimate stays
+        # unbiased: the mean reported variance matches the variance over
+        # seeds, and the mean matches the truth.
+        profile = KDEProfile(SCHEMA_XY, np.array([[0.25, 0.5], [0.75, 0.9]]), "gaussian",
+                             (0.05, 0.05))
+        region = parse_region("0 <= x && x <= 1 && 0 <= y && y <= 1 && x + y <= 1.5",
+                              SCHEMA_XY)
+        truth = quadrature_mass(profile, (0.0, 0.5, 1.0), lambda x: 0.0,
+                                lambda x: min(1.0, 1.5 - x))
+        runs = np.array([profile.region_mass(region, 6, RngStream(seed))
+                         for seed in range(2_000)])
+        values, errors = runs[:, 0], runs[:, 1]
+        assert abs(values.mean() - truth) <= 4.0 * values.std(ddof=1) / math.sqrt(2_000)
+        assert np.mean(errors ** 2) == pytest.approx(values.var(ddof=1), rel=0.15)
+
+    def test_odd_k_draws_one_fewer(self):
+        # k // 2 strata of two draws each: k = 2001 draws what k = 2000 does
+        profile = _records_kde("gaussian")
+        region = parse_region(R_GOOD_TEXT, SCHEMA)
+        assert (profile.region_mass(region, 2_001, RngStream(5))
+                == profile.region_mass(region, 2_000, RngStream(5)))
+        seen = _observed_points(region)
+        value, std_error = profile.region_mass(region, 3, RngStream(5))
+        assert seen[0].shape == (2, 1)
+        assert 0.0 <= value <= profile.box_mass(region.bounding_box)
+        assert math.isfinite(std_error)
 
     def test_box_beyond_every_kernel(self):
         # 50 bandwidths out the Gaussian tail mass underflows to 0

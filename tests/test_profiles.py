@@ -41,7 +41,8 @@ class TestMarginals:
 
     def test_gaussian_cdf_symmetry(self):
         g = GaussianMarginal(5.0, 4.0)
-        assert g.cdf(np.array([5.0]))[0] == pytest.approx(0.5)
+        assert g.interval_mass(-math.inf, 5.0) == pytest.approx(0.5)
+        assert g.interval_mass(5.0, math.inf) == pytest.approx(0.5)
 
     def test_gamma_mean(self):
         g = GammaMarginal(3.0, 0.01)
@@ -127,11 +128,12 @@ class TestCorrelatedTPRT:
         np.testing.assert_array_equal(a, b)
 
 
-def quad_box_mass(profile, lower, upper):
+def quad_box_mass(profile, lower, upper, epsabs=1e-15):
     """P(box) of a CorrelatedTPRT by adaptive quadrature over the box's TP
-    range of the TP density times the conditional RT probability, split at
-    every sd within 10 sd of the mean and where the conditional shape
-    reaches 0."""
+    range of the TP density times the conditional RT probability (from the
+    survival function where the RT range starts above the conditional
+    mean), split at every sd within 10 sd of the mean and where the
+    conditional shape reaches 0."""
     sd = math.sqrt(profile.sigma2)
 
     def integrand(tp):
@@ -139,11 +141,13 @@ def quad_box_mass(profile, lower, upper):
         if shape <= 0:
             return 0.0
         rt = stats.gamma(shape, scale=1.0 / profile.beta)
-        return stats.norm.pdf(tp, profile.mu, sd) * (rt.cdf(upper[1]) - rt.cdf(lower[1]))
+        rt_mass = (rt.sf(lower[1]) - rt.sf(upper[1]) if lower[1] > rt.mean()
+                   else rt.cdf(upper[1]) - rt.cdf(lower[1]))
+        return stats.norm.pdf(tp, profile.mu, sd) * rt_mass
 
     cuts = [profile.mu + j * sd for j in range(-10, 11)] + [profile.mu * (profile.alpha + 1)]
     edges = sorted({lower[0], upper[0], *(c for c in cuts if lower[0] < c < upper[0])})
-    return sum(integrate.quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13)[0]
+    return sum(integrate.quad(integrand, a, b, epsabs=epsabs, epsrel=1e-13)[0]
                for a, b in zip(edges, edges[1:]))
 
 
@@ -182,6 +186,30 @@ class TestBoxMass:
         profile = UniformBox(AttributeSchema(("x", "y")),
                              Box(np.array([0.0, 0.0]), np.array([2.0, 4.0])))
         assert profile.box_mass(Box(np.array(lower), np.array(upper))) == expected
+
+
+class TestTailSafeBoxMass:
+    """Above the mean a parametric interval mass is a difference of
+    survival functions, so a box in a far upper tail keeps its mass."""
+
+    def test_independent_far_tails(self):
+        profile = IndependentProduct(SCHEMA, (GaussianMarginal(0.0, 1.0),
+                                              GammaMarginal(2.0, 1.0)))
+        upper = profile.box_mass(Box(np.array([9.0, 0.0]), np.array([10.0, 1e3])))
+        lower = profile.box_mass(Box(np.array([-10.0, 0.0]), np.array([-9.0, 1e3])))
+        rt = profile.box_mass(Box(np.array([-1e3, 60.0]), np.array([1e3, 70.0])))
+        exact = stats.norm.sf(9.0) - stats.norm.sf(10.0)
+        assert upper == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert upper == pytest.approx(lower, rel=1e-12, abs=0.0)
+        exact = stats.gamma(2.0).sf(60.0) - stats.gamma(2.0).sf(70.0)
+        assert rt == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lower,upper", [((40.0, 5000.0), (60.0, 6000.0)),
+                                             ((0.0, 8000.0), (100.0, 9000.0))])
+    def test_correlated_far_rt_tail(self, lower, upper):
+        mass = correlated_profile().box_mass(Box(np.array(lower), np.array(upper)))
+        exact = quad_box_mass(correlated_profile(), lower, upper, epsabs=0.0)
+        assert mass > 0.0 and mass == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def reference_density(profile, pts):

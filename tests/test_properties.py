@@ -145,6 +145,17 @@ def test_box_rows_membership_matches_full_test(poly, seed):
     np.testing.assert_array_equal(poly.contains_box_points(pts), poly.contains_all(pts))
 
 
+@given(bounded_polytopes(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_slice_bounds_match_membership(poly, seed):
+    # a box point lies in the polytope iff its last coordinate lies in the
+    # slice at its other coordinates
+    pts = _box_proposals(poly, seed)
+    lower, upper = poly.slice_bounds(pts[:, :-1])
+    np.testing.assert_array_equal((lower <= pts[:, -1]) & (pts[:, -1] <= upper),
+                                  poly.contains_box_points(pts))
+
+
 @given(st.sampled_from(["box", "good", "bad"]), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_fixture_regions_box_rows(name, seed):
