@@ -55,7 +55,6 @@ from .profiles import (
     ProfileError,
     QoSProfile,
     UniformBox,
-    UnsupportedProfileError,
     rectangle_probability,
 )
 from .reqast import QoSConstraint, RequirementError
@@ -117,7 +116,6 @@ __all__ = [
     "ThinRegionError",
     "UnboundedPolytopeError",
     "UniformBox",
-    "UnsupportedProfileError",
     "analytic_center",
     "bandwidth_scott",
     "bandwidth_silverman",

@@ -2,7 +2,7 @@
 
 Verbs: check (profile vs requirement), learn (fit a KDE profile from records),
 select (rank a repository against a requirement), integrate (region
-probability and convergence scan), volume (polytope volume estimate).
+probability), volume (polytope volume estimate).
 Each verb prints one JSON document on stdout; errors go to stderr.
 
 Exit codes: 0 satisfied / success, 1 violated / nothing selected,
@@ -23,18 +23,12 @@ from .geometry import (
     UnboundedPolytopeError,
     estimate_volume,
 )
-from .integrate import (
-    DEFAULT_SAMPLES,
-    SchemaMismatchError,
-    convergence_scan,
-    integrate_uniform,
-)
+from .integrate import DEFAULT_SAMPLES, SchemaMismatchError, integrate_uniform
 from .learning import (
     CV_FOLDS,
     LearningError,
     QoSRecordSet,
     bandwidth_scott,
-    bandwidth_silverman,
     fit_kde_cv,
     KDEProfile,
 )
@@ -85,12 +79,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser, samples: bool, z: bool,
-                seed_help: str = "master RNG seed",
-                samples_help: str = "Monte Carlo samples per estimate") -> None:
+                seed_help: str = "master RNG seed") -> None:
     parser.add_argument("--seed", type=int, default=0, help=seed_help)
     if samples:
         parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                            help=samples_help)
+                            help="Monte Carlo samples per estimate")
     if z:
         parser.add_argument("--z", type=float, default=3.0,
                             help="confidence band half-width in standard errors; "
@@ -122,10 +115,9 @@ def _cmd_learn(args) -> int:
     if args.cv:
         profile = fit_kde_cv(records, rng=RngStream(args.seed))
     else:
-        rule = bandwidth_scott if args.bandwidth == "scott" else bandwidth_silverman
-        h = rule(records)
+        h = bandwidth_scott(records)
         profile = KDEProfile(records.schema, records, "gaussian", h,
-                             fit_info={"method": args.bandwidth, "kernel": "gaussian",
+                             fit_info={"method": "scott", "kernel": "gaussian",
                                        "bandwidths": [float(v) for v in h]})
     save_profile(profile, args.output)
     _emit({**profile.fit_info, "records": records.m, "output": args.output})
@@ -135,15 +127,6 @@ def _cmd_learn(args) -> int:
 def _cmd_integrate(args) -> int:
     profile = load_profile(args.profile)
     region = parse_region(args.region, profile.schema)
-    if args.scan:
-        ks = [int(v) for v in args.ks.split(",")]
-        if args.truth is None:
-            raise RequirementError("--scan requires --truth (a reference value)")
-        seeds = [args.seed + i for i in range(args.scan_seeds)]
-        scan = convergence_scan(profile, region, ks, seeds, args.truth)
-        _emit({"rows": [{"k": k, "mean_abs_error": e} for k, e in scan.rows],
-               "slope": scan.slope, "truth": args.truth})
-        return EXIT_SATISFIED
     est = integrate_uniform(profile, region, args.samples, RngStream(args.seed))
     _emit({"estimate": est.value, "std_error": est.std_error, "k": est.k,
            "volume_used": est.volume_used})
@@ -183,25 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv", action="store_true",
                    help="cross-validate the kernel (Gaussian or Laplace) and the "
                         f"Scott bandwidths' scale (0.25-4) over {CV_FOLDS} folds")
-    p.add_argument("--bandwidth", choices=("scott", "silverman"), default="scott",
-                   help="rule-of-thumb bandwidths for a Gaussian kernel "
-                        "(ignored with --cv)")
     _add_common(p, samples=False, z=False,
                 seed_help="seeds the --cv folds; the rule-of-thumb fit draws nothing")
     p.set_defaults(func=_cmd_learn)
 
-    p = sub.add_parser("integrate", help="estimate P(X in R) or scan convergence")
+    p = sub.add_parser("integrate", help="estimate P(X in R)")
     p.add_argument("profile", help="profile JSON path")
     p.add_argument("--region", required=True,
                    help="conjunction of linear inequalities over the schema")
-    p.add_argument("--scan", action="store_true", help="run a convergence scan")
-    p.add_argument("--ks", default="100,1000,10000,100000",
-                   help="sample counts for --scan (comma-separated)")
-    p.add_argument("--scan-seeds", type=int, default=20,
-                   help="replicates per k for --scan")
-    p.add_argument("--truth", type=float, help="reference value for --scan errors")
-    _add_common(p, samples=True, z=False,
-                samples_help="Monte Carlo samples for the estimate; --scan uses --ks")
+    _add_common(p, samples=True, z=False)
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("volume", help="estimate the volume of a bounded region")

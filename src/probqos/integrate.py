@@ -13,6 +13,7 @@ their uncertainty and converge at the dimension-independent 1/sqrt(k) rate.
 
 from __future__ import annotations
 
+import logging
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,12 +23,16 @@ from .geometry import estimate_volume  # noqa: F401  (looked up here by perfbenc
 from .profiles import QoSProfile
 from .rng import RngStream, as_stream
 from .sampling import (
+    DIKIN_BURN_IN,
+    DIKIN_THINNING,
     REJECTION_ACCEPTANCE_THRESHOLD,
     dikin_walk,
     rejection_sample,  # noqa: F401  (looked up here by perfbench/tracing.py)
 )
 
 DEFAULT_SAMPLES = 200_000
+
+log = logging.getLogger(__name__)
 
 
 class SchemaMismatchError(Exception):
@@ -77,7 +82,9 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
     the threshold, the density at the hits goes unused and k region
     points come from a Dikin walk on rng.substream(1), and the standard
     error combines the density sample variance with the volume's binomial
-    error by first-order propagation.
+    error by first-order propagation. The walk takes DIKIN_BURN_IN +
+    DIKIN_THINNING * k steps, which can take minutes at the default k, so
+    a warning on this module's logger announces it first.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -91,6 +98,9 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
     if hits / k >= REJECTION_ACCEPTANCE_THRESHOLD:
         value, std_error = _box_mean(f, k, vbox)
         return IntegralEstimate(value, std_error, k, volume)
+    log.warning("box acceptance %.4g is below %g: drawing k = %d region points "
+                "by a Dikin walk of %d steps", hits / k, REJECTION_ACCEPTANCE_THRESHOLD,
+                k, DIKIN_BURN_IN + DIKIN_THINNING * k)
     points = dikin_walk(region, k, stream.substream(1))
     f = profile.density(points)
     mean_f = float(f.mean())

@@ -349,6 +349,9 @@ class KDEProfile(QoSProfile):
         u[0::2] += level
         u[1::2] += level
         u /= strata
+        # level + u can round up to level + 1, so the last pair may reach
+        # 1.0; below it, no draw falls past the last kernel with a share
+        np.minimum(u[-2:], np.nextafter(1.0, 0.0), out=u[-2:])
         # one row per kernel: where its share of the first uniform starts,
         # and how long it is; per axis of x', its centre, signed bandwidth
         # (negative where the interval is mirrored), cdf(lower) and mass;
@@ -367,10 +370,8 @@ class KDEProfile(QoSProfile):
             + [a[:, j] for j in range(self.dim - 1)
                for a in (self.observations, signed_h, lower_cdf, mass)]
             + [self.observations[:, -1], signed_h[:, -1], *faces, faces[1] - faces[0]])
-        # a kernel whose share rounds to nothing takes no draw
-        if not np.all(stop > start):
-            table, stop = table[:, stop > start], stop[stop > start]
-        # u is sorted, so each kernel's draws are one run of it. A row is
+        # u is sorted, so each kernel's draws are one run of it, and a kernel
+        # whose share rounds to nothing has a run of length 0. A row is
         # gathered where it is used and then dropped: k-long temporaries
         # that pile up past the allocator's trim threshold are mapped
         # afresh, page by page, on every call.

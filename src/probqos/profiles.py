@@ -30,10 +30,6 @@ class ProfileError(Exception):
     pass
 
 
-class UnsupportedProfileError(ProfileError):
-    """Operation requires closed-form marginals the profile does not have."""
-
-
 class AttributeSchema:
     """Ordered, unique QoS attribute identifiers; order binds coordinates."""
 
@@ -382,15 +378,11 @@ class UniformBox(QoSProfile):
         return min(overlap / self.box.volume, 1.0)
 
 
-def rectangle_probability(profile: IndependentProduct, box: Box) -> float:
-    """Closed-form P(X in box) of an independent product: `profile.box_mass(box)`.
+def rectangle_probability(profile: QoSProfile, box: Box) -> float:
+    """P(X in box) on any profile kind: `profile.box_mass(box)`.
 
     It is the exact answer `requirements.evaluate_constraint` gives, at
-    standard error 0, for a box region on such a profile, and the box
-    reference that `integrate_uniform`'s estimates are tested against.
+    standard error 0, for a box region, and the box reference that
+    `integrate_uniform`'s estimates are tested against.
     """
-    if not isinstance(profile, IndependentProduct):
-        raise UnsupportedProfileError(
-            "rectangle_probability needs an independent product profile"
-        )
     return profile.box_mass(box)

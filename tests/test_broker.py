@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from probqos import (
-    Box,
     CorrelatedTPRT,
     KDEProfile,
     QoSRecordSet,
@@ -22,7 +21,7 @@ from probqos import (
 from probqos.broker import BrokerError
 from probqos.cli import main
 from probqos.learning import LearningError
-from probqos.profiles import ProfileError, rectangle_probability
+from probqos.profiles import ProfileError
 from probqos.reference import (
     R_GOOD_TEXT,
     SCHEMA,
@@ -346,9 +345,9 @@ class TestCLI:
 
         csv_path = fixtures_dir / "records_xcorr_1000.csv"
         out_path = tmp_path / "kde.json"
-        code, _, _ = self.run(capsys, "learn", str(csv_path), "-o", str(out_path),
-                              "--bandwidth", "scott")
+        code, out, _ = self.run(capsys, "learn", str(csv_path), "-o", str(out_path))
         assert code == 0
+        assert json.loads(out)["method"] == "scott"
         profile = load_profile(out_path)
         expected = bandwidth_scott(QoSRecordSet.from_csv(csv_path))
         np.testing.assert_allclose(profile.bandwidths, expected, rtol=1e-12)
@@ -378,23 +377,6 @@ class TestCLI:
         doc = json.loads(out)
         assert doc["estimate"] == pytest.approx(0.16145, abs=0.005)
 
-    def test_integrate_scan(self, capsys, tmp_path):
-        profile = tmp_path / "p.json"
-        save_profile(independent_profile(), profile)
-        truth = rectangle_probability(independent_profile(),
-                                      Box((60.0, 0.0), (100.0, 300.0)))
-        argv = ("integrate", str(profile), "--region", BOX_TEXT, "--scan",
-                "--ks", "100,1000,10000", "--scan-seeds", "3", "--json")
-        code, out, _ = self.run(capsys, *argv, "--truth", str(truth))
-        assert code == 0
-        doc = json.loads(out)
-        assert [row["k"] for row in doc["rows"]] == [100, 1000, 10000]
-        assert all(row["mean_abs_error"] >= 0 for row in doc["rows"])
-        assert math.isfinite(doc["slope"]) and doc["truth"] == truth
-        code, out, err = self.run(capsys, *argv)
-        assert (code, out) == (10, "")
-        assert "--truth" in err
-
     def test_volume(self, capsys):
         code, out, _ = self.run(capsys, "volume", "--region",
                                 "0 <= x && 0 <= y && x + y <= 1",
@@ -411,7 +393,7 @@ class TestCLI:
         assert (code, out) == (10, "")
         assert err == "error: k must be >= 2\n"
 
-    @pytest.mark.parametrize("verb", ["learn", "integrate", "integrate-scan", "volume"])
+    @pytest.mark.parametrize("verb", ["learn", "integrate", "volume"])
     def test_output_is_json_with_or_without_flag(self, capsys, tmp_path, fixtures_dir,
                                                  verb):
         profile = tmp_path / "p.json"
@@ -421,9 +403,6 @@ class TestCLI:
                       "-o", str(tmp_path / "kde.json")),
             "integrate": ("integrate", str(profile), "--region", BOX_TEXT,
                           "--samples", "2000"),
-            "integrate-scan": ("integrate", str(profile), "--region", BOX_TEXT,
-                               "--scan", "--ks", "100,300,1000", "--scan-seeds", "2",
-                               "--truth", "0.16"),
             "volume": ("volume", "--region", "0 <= x && 0 <= y && x + y <= 1",
                        "--attributes", "x,y", "--samples", "2000"),
         }[verb]
@@ -483,6 +462,11 @@ class TestCLI:
         ("learn", "records.csv", "-o", "out.json", "--samples", "1000"),
         ("volume", "--region", "0 <= x", "--attributes", "x", "--z", "1"),
         ("frobnicate",),
+        ("learn", "records.csv", "-o", "out.json", "--bandwidth", "scott"),
+        ("integrate", "profile.json", "--region", "0 <= TP", "--scan"),
+        ("integrate", "profile.json", "--region", "0 <= TP", "--ks", "100,1000"),
+        ("integrate", "profile.json", "--region", "0 <= TP", "--scan-seeds", "2"),
+        ("integrate", "profile.json", "--region", "0 <= TP", "--truth", "0.5"),
     ])
     def test_usage_error_exits_malformed(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -493,8 +477,9 @@ class TestCLI:
     @pytest.mark.parametrize("verb,present,absent", [
         ("check", {"--samples", "--z"}, set()),
         ("select", {"--samples", "--z"}, set()),
-        ("learn", set(), {"--samples", "--z", "--kernel", "--folds", "--grid"}),
-        ("integrate", {"--samples"}, {"--z"}),
+        ("learn", set(), {"--samples", "--z", "--kernel", "--folds", "--grid",
+                          "--bandwidth"}),
+        ("integrate", {"--samples"}, {"--z", "--scan", "--ks", "--scan-seeds", "--truth"}),
         ("volume", {"--samples"}, {"--z"}),
     ])
     def test_help_lists_used_flags_only(self, capsys, verb, present, absent):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,19 @@ class TestIntegrateUniform:
         est = integrate_uniform(independent_profile(), THIN, 5_000, RngStream(2))
         assert 0.0 <= est.value <= 1.0
         assert est.std_error > 0.0
+
+    def test_only_a_walk_is_announced(self, caplog):
+        # the walk takes 1,000 + 10 k steps, so integrate_uniform warns once
+        # before it starts; a region the box pass samples is not announced
+        caplog.set_level(logging.WARNING, logger="probqos.integrate")
+        integrate_uniform(independent_profile(), R_GOOD, 2_000, RngStream(2))
+        assert [r for r in caplog.records if r.name == "probqos.integrate"] == []
+        integrate_uniform(independent_profile(), THIN, 200, RngStream(2))
+        (record,) = [r for r in caplog.records if r.name == "probqos.integrate"]
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert "box acceptance 0.0" in message
+        assert "k = 200 " in message and "3000 steps" in message
 
 
 class TestSingleBoxPass:

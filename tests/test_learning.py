@@ -423,6 +423,41 @@ class TestRegionMass:
         assert 0.0 <= value <= profile.box_mass(region.bounding_box)
         assert math.isfinite(std_error)
 
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    def test_kernels_without_mass_take_no_draw(self, kernel):
+        # two kernels thousands of bandwidths past B, one of them the last,
+        # have mass 0 in B: their runs of u are empty, so every draw matches
+        # the KDE without them, and only P(B)'s mean over m kernels changes
+        region = parse_region(R_GOOD_TEXT, SCHEMA)
+        kept = _records_kde(kernel)
+        far = np.array([[1e5, 150.0], [150.0, 1e5]])
+        assert KDEProfile(SCHEMA, far, kernel, kept.bandwidths).box_mass(
+            region.bounding_box) == 0.0
+        obs = np.concatenate([kept.observations[:100], far[:1],
+                              kept.observations[100:], far[1:]])
+        full = KDEProfile(SCHEMA, obs, kernel, kept.bandwidths)
+        for k in (2, 3, 10, 1_001):
+            for seed in range(50):
+                got = np.array(full.region_mass(region, k, RngStream(seed))) * full.m
+                want = np.array(kept.region_mass(region, k, RngStream(seed))) * kept.m
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_a_draw_rounded_up_to_one_keeps_a_kernel(self, monkeypatch):
+        # (1 - 2^-53 + 1) / 2 rounds to 1.0, the start of a last kernel
+        # with no mass in B; the draw stays with the kernel before it
+        class Top:
+            def random(self, n):
+                return np.full(n, 1.0 - 2.0 ** -53)
+
+        profile = KDEProfile(SCHEMA_XY, np.array([[0.5, 0.5], [1e5, 0.5]]), "gaussian",
+                             (0.1, 0.1))
+        region = parse_region("0 <= x && x <= 1 && 0 <= y && y <= 1 && x + y <= 1.5",
+                              SCHEMA_XY)
+        monkeypatch.setattr(RngStream, "generator", lambda self: Top())
+        value, std_error = profile.region_mass(region, 4, RngStream(0))
+        assert 0.0 < value <= profile.box_mass(region.bounding_box)
+        assert math.isfinite(std_error)
+
     def test_box_beyond_every_kernel(self):
         # 50 bandwidths out the Gaussian tail mass underflows to 0
         profile = KDEProfile(SCHEMA_XY, np.zeros((2, 2)), "gaussian", (0.1, 0.1))

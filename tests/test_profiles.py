@@ -11,13 +11,14 @@ from probqos import (
     GammaMarginal,
     GaussianMarginal,
     IndependentProduct,
+    KDEProfile,
     ProfileError,
     RngStream,
     UniformBox,
     rectangle_probability,
 )
 from probqos.geometry import DimensionMismatchError
-from probqos.profiles import QoSProfile, UnsupportedProfileError
+from probqos.profiles import QoSProfile
 from probqos.reference import SCHEMA, correlated_profile, independent_profile
 
 
@@ -97,10 +98,14 @@ class TestRectangleProbability:
         box = Box(np.array([-1e6, 0.0]), np.array([1e6, 1e6]))
         assert rectangle_probability(independent_profile(), box) == pytest.approx(1.0)
 
-    def test_requires_independent(self):
-        box = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-        with pytest.raises(UnsupportedProfileError):
-            rectangle_probability(correlated_profile(), box)
+    def test_equals_box_mass_on_every_kind(self):
+        box = Box(np.array([60.0, 0.0]), np.array([100.0, 300.0]))
+        points = correlated_profile().sample(200, RngStream(4))
+        kde = KDEProfile(SCHEMA, points, "gaussian", (4.0, 30.0))
+        for profile in (correlated_profile(), kde):
+            p = rectangle_probability(profile, box)
+            assert 0.0 < p < 1.0
+            assert p == profile.box_mass(box)
 
 
 class TestCorrelatedTPRT:
