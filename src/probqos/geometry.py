@@ -7,14 +7,16 @@ supplies interior points and the bounding box used for rejection sampling.
 and rejection-regime integration both go through it. It streams the
 proposals in cache-sized chunks, each drawn, tested and handed on before the
 next is drawn, and splits a long pass into one span of chunks per usable
-core, each drawing exactly the bits the serial pass would.
+core, each drawing exactly the bits the serial pass would; the caller runs
+the first span and a thread pool made for the pass runs the rest.
 """
 
 from __future__ import annotations
 
 import copy
+import operator
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +42,18 @@ def _usable_cores() -> int:
 
 # box_pass spans at most, one per core this process may run on
 _WORKERS = _usable_cores()
+
+
+def _sample_count(k, least: int = 2) -> int:
+    """k as an int: ValueError unless it is an integer (a numpy integer
+    too) of at least `least`."""
+    try:
+        count = operator.index(k)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise ValueError(f"k must be an integer >= {least}, got {k!r}")
+    return count
 
 
 class GeometryError(Exception):
@@ -70,39 +84,32 @@ class EmptyInteriorError(GeometryError):
 # Dense tableau simplex with Bland's rule
 # ---------------------------------------------------------------------------
 
-def _pivot(T: np.ndarray, basis: list, row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    # every other row with a nonzero entry in the pivot column
+    factor = T[:, col].copy()
+    factor[row] = 0.0
+    rows = factor.nonzero()[0]
+    T[rows] -= factor[rows, None] * T[row]
     basis[row] = col
 
 
-def _run_simplex(T: np.ndarray, basis: list, ncols: int) -> None:
-    """Minimize the objective row in place. Bland's rule avoids cycling."""
-    m = T.shape[0] - 1
+def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> None:
+    """Minimize the objective row in place. Bland's rule avoids cycling:
+    the first improving column enters, and the least ratio leaves, ties
+    within 1e-15 going to the smallest basic index."""
     while True:
-        enter = -1
-        for j in range(ncols):
-            if T[m, j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        improving = (T[-1, :ncols] < -PIVOT_TOL).nonzero()[0]
+        if improving.size == 0:
             return
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            a = T[i, enter]
-            if a > PIVOT_TOL:
-                ratio = T[i, -1] / a
-                if ratio < best - 1e-15 or (
-                    abs(ratio - best) <= 1e-15 and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
+        enter = improving[0]
+        col = T[:-1, enter]
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
             raise LPUnboundedError("objective unbounded over the feasible set")
-        _pivot(T, basis, leave, enter)
+        ratios = T[rows, -1] / col[rows]
+        ties = rows[ratios - ratios.min() <= 1e-15]
+        _pivot(T, basis, ties[basis[ties].argmin()], enter)
 
 
 def _lp_min(c: np.ndarray, A: np.ndarray, b: np.ndarray):
@@ -117,26 +124,14 @@ def _lp_min(c: np.ndarray, A: np.ndarray, b: np.ndarray):
     m, n = A.shape
     ncols = 2 * n + m
 
-    M = np.hstack([A, -A, np.eye(m)])
-    rhs = b.copy()
-    neg = rhs < 0
-    M[neg] *= -1.0
-    rhs[neg] *= -1.0
-    art_rows = np.where(neg)[0]
+    # rows with b < 0 are negated and start on an artificial column
+    art_rows = np.flatnonzero(b < 0)
     nart = len(art_rows)
-    if nart:
-        art = np.zeros((m, nart))
-        for j, i in enumerate(art_rows):
-            art[i, j] = 1.0
-        M = np.hstack([M, art])
-
-    T = np.zeros((m + 1, M.shape[1] + 1))
-    T[:m, :-1] = M
-    T[:m, -1] = rhs
-    basis = []
-    art_iter = iter(range(ncols, ncols + nart))
-    for i in range(m):
-        basis.append(next(art_iter) if neg[i] else 2 * n + i)
+    T = np.zeros((m + 1, ncols + nart + 1))
+    T[:m] = np.hstack([A, -A, np.eye(m), np.eye(m)[:, art_rows], b[:, None]])
+    T[np.ix_(art_rows, np.r_[:ncols, -1])] *= -1.0
+    basis = np.arange(2 * n, ncols)
+    basis[art_rows] = np.arange(ncols, ncols + nart)
 
     if nart:
         T[m, ncols:ncols + nart] = 1.0
@@ -146,36 +141,26 @@ def _lp_min(c: np.ndarray, A: np.ndarray, b: np.ndarray):
         if -T[m, -1] > 1e-7:
             raise LPInfeasibleError("inequality system is infeasible")
         # drive remaining artificials out of the basis, dropping redundant rows
-        keep_rows = []
-        for i in range(m):
-            if basis[i] >= ncols:
-                piv = -1
-                for j in range(ncols):
-                    if abs(T[i, j]) > PIVOT_TOL:
-                        piv = j
-                        break
-                if piv >= 0:
-                    _pivot(T, basis, i, piv)
-                    keep_rows.append(i)
-                # else: redundant row, drop it
+        keep = np.ones(m + 1, dtype=bool)
+        for i in np.flatnonzero(basis >= ncols):
+            piv = np.flatnonzero(np.abs(T[i, :ncols]) > PIVOT_TOL)
+            if piv.size:
+                _pivot(T, basis, i, piv[0])
             else:
-                keep_rows.append(i)
-        rows = keep_rows + [m]
-        T = T[np.ix_(rows, list(range(ncols)) + [M.shape[1]])]
-        basis = [basis[i] for i in keep_rows]
+                keep[i] = False
+        T = T[keep][:, np.r_[:ncols, -1]]
+        basis = basis[keep[:m]]
 
-    mrow = T.shape[0] - 1
     c2 = np.concatenate([c, -c, np.zeros(m)])
-    T[mrow, :-1] = c2
-    T[mrow, -1] = 0.0
+    T[-1, :-1] = c2
+    T[-1, -1] = 0.0
     for i, j in enumerate(basis):
         if c2[j] != 0.0:
-            T[mrow] -= c2[j] * T[i]
+            T[-1] -= c2[j] * T[i]
     _run_simplex(T, basis, ncols)
 
     xfull = np.zeros(ncols)
-    for i, j in enumerate(basis):
-        xfull[j] = T[i, -1]
+    xfull[basis] = T[:-1, -1]
     x = xfull[:n] - xfull[n:2 * n]
     return x, float(c @ x)
 
@@ -409,21 +394,24 @@ def box_pass(poly: HPolytope, k: int, rng: "int | RngStream",
     contiguous spans, one per usable core. Span j draws from a copy of the
     substream's PCG64 state advanced past the first_j * n draws of the
     spans before it, so every span draws exactly the bits the serial pass
-    would. Spans after the first run on short-lived threads while the
-    caller runs the first; an exception raised in any span is re-raised
-    here. The hit counts and values are joined in draw order, so when
-    `evaluate` computes each row independently of the rest of its batch,
-    as every profile density does, the result is bit-identical for any
-    number of spans. A pass of at most _SPAN_MIN proposals starts no
-    thread.
+    would. The caller runs the first span, and a ThreadPoolExecutor of
+    spans - 1 workers, made for this pass and shut down (its workers
+    joined) before the pass returns, runs the others; an exception raised
+    in any span is re-raised here. The pool is not kept between passes: a
+    forked child would inherit it without its worker threads, and its
+    first submit there would hang. The hit counts and values are joined
+    in draw order, so when `evaluate` computes each row independently of
+    the rest of its batch, as every profile density does, the result is
+    bit-identical for any number of spans. A pass of at most _SPAN_MIN
+    proposals starts no executor. k may be any integer >= 1, a numpy
+    integer too; anything else raises ValueError.
 
     Returns (hits, values): the number of proposals inside the polytope,
     and the per-chunk results of `evaluate` concatenated in draw order, or
     None without `evaluate`. A box of zero volume draws nothing, reports no
     hits and evaluates an empty (0, n) array.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _sample_count(k, 1)
     box = poly.bounding_box
     n = poly.dim
     if box.volume == 0.0:
@@ -463,27 +451,12 @@ def box_pass(poly: HPolytope, k: int, rng: "int | RngStream",
                 values.append(evaluate(pts))
         return hits, values
 
-    results = [None] * spans
-
-    def run_caught(j):
-        try:
-            results[j] = run(j)
-        except BaseException as exc:  # handed to the caller, which raises it
-            results[j] = exc
-
-    started = []
-    try:
-        for j in range(1, spans):
-            t = threading.Thread(target=run_caught, args=(j,))
-            t.start()
-            started.append(t)
-        results[0] = run(0)
-    finally:
-        for t in started:
-            t.join()
-    for r in results:
-        if isinstance(r, BaseException):
-            raise r
+    if spans == 1:
+        results = [run(0)]
+    else:
+        with ThreadPoolExecutor(spans - 1) as pool:
+            workers = [pool.submit(run, j) for j in range(1, spans)]
+            results = [run(0)] + [f.result() for f in workers]
     hits = sum(h for h, _ in results)
     if evaluate is None:
         return hits, None
@@ -504,9 +477,9 @@ def estimate_volume(poly: HPolytope, k: int, rng_seed: "int | RngStream"):
     Returns (volume, std_error): volume = Vol(box) * hits/k, std_error the
     binomial-proportion standard error scaled by the box volume. A box
     keeps no rows to test, so it gets (Vol(box), 0.0) exactly. k below 2,
-    where the standard error would always be 0, raises ValueError.
+    where the standard error would always be 0, and a k that is not an
+    integer raise ValueError.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = _sample_count(k)
     hits, _ = box_pass(poly, k, rng_seed)
     return volume_from_hits(poly.bounding_box.volume, hits, k)

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import HPolytope, box_pass, volume_from_hits
+from .geometry import HPolytope, _sample_count, box_pass, volume_from_hits
 from .geometry import estimate_volume  # noqa: F401  (looked up here by perfbench/tracing.py)
 from .profiles import QoSProfile
 from .rng import RngStream, as_stream
@@ -86,8 +86,7 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
     DIKIN_THINNING * k steps, which can take minutes at the default k, so
     a warning on this module's logger announces it first.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = _sample_count(k)
     _check_schema(profile, region)
     stream = as_stream(rng)
     hits, f = box_pass(region, k, stream.substream(0), profile.density)

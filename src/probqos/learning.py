@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import special
 
-from .geometry import Box, DimensionMismatchError, HPolytope
+from .geometry import Box, DimensionMismatchError, HPolytope, _sample_count
 from .profiles import AttributeSchema, ProfileError, QoSProfile
 from .rng import as_stream
 
@@ -160,12 +160,17 @@ class KDEProfile(QoSProfile):
 
     `records` may be a QoSRecordSet or a raw (m, n) observation array; the
     raw form admits m = 1 (a single kernel bump), which record sets exclude.
+    A record set must carry `schema` itself: its columns are bound to its
+    own attribute names, and another order would relabel them.
     """
 
     def __init__(self, schema: AttributeSchema, records, kernel: str,
                  bandwidths, fit_info: dict | None = None):
         if kernel not in KERNELS:
             raise LearningError(f"unknown kernel {kernel!r}; choose from {sorted(KERNELS)}")
+        if isinstance(records, QoSRecordSet) and records.schema != schema:
+            raise LearningError(f"records have schema {list(records.schema.names)}, "
+                                f"profile has {list(schema.names)}")
         # a record set's observations are already a private read-only copy
         obs = (records.observations if isinstance(records, QoSRecordSet)
                else np.array(records, dtype=float))
@@ -329,8 +334,7 @@ class KDEProfile(QoSProfile):
         generator on `rng`, and the cost is O(k + m) instead of the O(k m)
         of evaluating the density at k points.
         """
-        if k < 2:
-            raise ValueError("k must be >= 2")
+        k = _sample_count(k)
         box = region.bounding_box
         lower_cdf, mass, flipped = self._box_intervals(box)
         weights = np.prod(mass, axis=1)

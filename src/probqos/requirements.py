@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import re
 import weakref
 from typing import NamedTuple
@@ -23,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sat
-from .geometry import HPolytope
+from .geometry import HPolytope, _sample_count
 from .integrate import DEFAULT_SAMPLES, _check_schema, integrate_uniform
 from .learning import KDEProfile
 from .profiles import AttributeSchema, QoSProfile
@@ -405,13 +404,14 @@ def _decide(estimate: float, std_error: float, c: QoSConstraint, z: float):
     return None
 
 
-def _check_sampling(k: int, confidence_z: float) -> None:
-    """Refuse a sample count below 2 (no standard error exists) and a
-    z-band half-width that is negative or not finite."""
-    if not isinstance(k, numbers.Integral) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+def _check_sampling(k: int, confidence_z: float) -> int:
+    """k as an int. Refuse a sample count that is not an integer or is
+    below 2 (no standard error exists), and a z-band half-width that is
+    negative or not finite."""
+    k = _sample_count(k)
     if not (math.isfinite(confidence_z) and confidence_z >= 0.0):
         raise ValueError(f"confidence_z must be finite and >= 0, got {confidence_z}")
+    return k
 
 
 # profile -> ((seed, k), {(region structural key, stream id): (value,
@@ -450,11 +450,12 @@ def evaluate_constraint(constraint: QoSConstraint, profile: QoSProfile, k: int,
     helps repeated calls in one process only. The truth is always decided
     afresh, as the bounds and confidence_z are not part of the key.
 
-    On every path, k below 2 and a negative or non-finite confidence_z
-    raise ValueError. Unless the bounds are vacuous, a region named otherwise
-    than the profile's schema raises SchemaMismatchError.
+    On every path, a k that is not an integer or is below 2, and a
+    negative or non-finite confidence_z, raise ValueError. Unless the
+    bounds are vacuous, a region named otherwise than the profile's schema
+    raises SchemaMismatchError.
     """
-    _check_sampling(k, confidence_z)
+    k = _check_sampling(k, confidence_z)
     if constraint.p_min == 0.0 and constraint.p_max == 1.0:
         return True, 1.0, 0.0
     region = constraint.region
@@ -517,7 +518,7 @@ def qos_check(profile: QoSProfile, req: QoSRequirement, k: int = DEFAULT_SAMPLES
     k and confidence_z are checked first, so that a requirement with no
     sampled constraint refuses them too.
     """
-    _check_sampling(k, confidence_z)
+    k = _check_sampling(k, confidence_z)
     stream = as_stream(rng)
 
     table = []

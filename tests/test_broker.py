@@ -391,7 +391,7 @@ class TestCLI:
                                   "0 <= x && x <= 1 && 0 <= y && y <= 1 && x + y <= 1",
                                   "--attributes", "x,y", "--samples", "1", "--seed", "3")
         assert (code, out) == (10, "")
-        assert err == "error: k must be >= 2\n"
+        assert err == "error: k must be an integer >= 2, got 1\n"
 
     @pytest.mark.parametrize("verb", ["learn", "integrate", "volume"])
     def test_output_is_json_with_or_without_flag(self, capsys, tmp_path, fixtures_dir,

@@ -1,5 +1,6 @@
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from probqos import (
     RngStream,
     estimate_volume,
     integrate_uniform,
+    parse_region,
+    parse_requirement,
+    qos_check,
 )
 from probqos import geometry
 from probqos.geometry import (
@@ -26,6 +30,7 @@ from probqos.geometry import (
     UnboundedPolytopeError,
     _lp_min,
 )
+from probqos.reference import R_GOOD_TEXT, REQ_CONJUNCTION_TEXT, SCHEMA, independent_profile
 
 
 def simplex3():
@@ -62,6 +67,24 @@ class TestLP:
     def test_unbounded(self):
         with pytest.raises(LPUnboundedError):
             _lp_min(np.array([1.0]), np.array([[1.0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pivot_matches_row_loop(self, seed):
+        # eliminating the pivot column row by row, skipping zero entries,
+        # gives the same bits, signed zeros included
+        gen = RngStream(seed).generator()
+        T = np.round(gen.normal(size=(9, 14)), 1)
+        T[gen.random(T.shape) < 0.4] *= 0.0  # zeros of either sign
+        row, col = 4, int(np.flatnonzero(T[4, :-1])[0])
+        ref = T.copy()
+        ref[row] /= ref[row, col]
+        for i in range(ref.shape[0]):
+            if i != row and ref[i, col] != 0.0:
+                ref[i] -= ref[i, col] * ref[row]
+        basis = np.arange(9)
+        geometry._pivot(T, basis, row, col)
+        assert T.tobytes() == ref.tobytes()
+        assert basis[row] == col
 
     def test_negative_rhs(self):
         # x >= 2, x <= 5: minimum of x is 2 (rhs -2 exercises phase 1)
@@ -167,7 +190,7 @@ class TestVolume:
     def test_fewer_than_two_samples_refused(self, triangle, k):
         # one proposal has no spread to estimate: its standard error is
         # always 0, whichever way it lands
-        with pytest.raises(ValueError, match="k must be >= 2"):
+        with pytest.raises(ValueError, match="k must be an integer >= 2"):
             estimate_volume(triangle, k, rng_seed=3)
 
 
@@ -260,18 +283,25 @@ class TestBoxPassSpans:
     @pytest.mark.parametrize("k,threads", [(2, 0), (4_095, 0), (4_096, 0), (4_097, 1),
                                            (3 * 4_096 + 1, 3), (200_003, 6)])
     def test_span_count(self, triangle, monkeypatch, k, threads):
+        # every span but the caller's is handed to the executor, and the
+        # threads that ran them are joined before box_pass returns
         monkeypatch.setattr(geometry, "_WORKERS", 7)
-        started = []
+        submitted, workers = [], []
 
-        class CountingThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        class CountingExecutor(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args)
 
-        monkeypatch.setattr(geometry.threading, "Thread", CountingThread)
+                def run(*a, **kw):
+                    workers.append(threading.current_thread())
+                    return fn(*a, **kw)
+
+                return super().submit(run, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "ThreadPoolExecutor", CountingExecutor)
         box_pass(triangle, k, RngStream(0))
-        assert len(started) == threads
-        assert not any(t.is_alive() for t in started)
+        assert len(submitted) == threads
+        assert not any(t.is_alive() for t in workers)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("failing_span", ["worker", "caller"])
@@ -288,3 +318,38 @@ class TestBoxPassSpans:
         with pytest.raises(ZeroDivisionError, match=failing_span):
             box_pass(triangle, 10_000, RngStream(0), density)
         assert threading.active_count() == before
+
+
+def _kde_region_mass(k):
+    obs = independent_profile().sample(200, RngStream(1))
+    kde = KDEProfile(SCHEMA, obs, "gaussian", (8.0, 50.0))
+    return kde.region_mass(parse_region(R_GOOD_TEXT, SCHEMA), k, RngStream(2))
+
+
+# each builds its profile afresh, so that no call reuses another's integrals
+SAMPLE_COUNT_ENTRY_POINTS = {
+    "qos_check": lambda k: qos_check(
+        independent_profile(), parse_requirement(REQ_CONJUNCTION_TEXT, SCHEMA), k=k, rng=0),
+    "integrate_uniform": lambda k: integrate_uniform(
+        independent_profile(), parse_region(R_GOOD_TEXT, SCHEMA), k, RngStream(0)),
+    "estimate_volume": lambda k: estimate_volume(parse_region(R_GOOD_TEXT, SCHEMA), k, 0),
+    "region_mass": _kde_region_mass,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SAMPLE_COUNT_ENTRY_POINTS))
+class TestSampleCountType:
+    """Every entry point that takes a sample count accepts a numpy integer
+    as the int it equals, also where the box pass splits into spans, and
+    refuses a float or a count below 2 alike."""
+
+    def test_numpy_integer_equals_int(self, monkeypatch, entry):
+        monkeypatch.setattr(geometry, "_WORKERS", 2)
+        call = SAMPLE_COUNT_ENTRY_POINTS[entry]
+        assert call(np.int64(5_000)) == call(5_000)
+
+    @pytest.mark.parametrize("k", [5_000.0, 1])
+    def test_float_or_below_two_refused(self, monkeypatch, entry, k):
+        monkeypatch.setattr(geometry, "_WORKERS", 2)
+        with pytest.raises(ValueError, match="k must be an integer >= 2"):
+            SAMPLE_COUNT_ENTRY_POINTS[entry](k)

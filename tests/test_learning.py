@@ -106,6 +106,13 @@ class TestKDEProfile:
         with pytest.raises(LearningError):
             KDEProfile(SCHEMA_XY, np.zeros((1, 2)), "gaussian", (1.0, 0.0))
 
+    def test_record_set_schema_must_match(self):
+        # the same columns under swapped names would be relabelled silently
+        records = QoSRecordSet(AttributeSchema(("y", "x")), np.zeros((2, 2)))
+        with pytest.raises(LearningError, match="schema"):
+            KDEProfile(SCHEMA_XY, records, "gaussian", (1.0, 1.0))
+        assert KDEProfile(records.schema, records, "gaussian", (1.0, 1.0)).schema == records.schema
+
     def test_unknown_kernel(self):
         with pytest.raises(LearningError):
             KDEProfile(SCHEMA_XY, np.zeros((1, 2)), "triangular", (1.0, 1.0))

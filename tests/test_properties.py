@@ -6,6 +6,7 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from probqos import (
     AttributeSchema,
@@ -18,6 +19,7 @@ from probqos import (
     estimate_volume,
     parse_region,
 )
+from probqos.geometry import LPInfeasibleError, LPUnboundedError, _lp_min
 from probqos.learning import KDEProfile
 from probqos.reference import R_BAD_TEXT, R_BOX_TEXT, R_GOOD_TEXT, SCHEMA
 from probqos.reqast import Constraint, Not, Or, PropVar, and_, evaluate, iff, implies
@@ -179,3 +181,62 @@ def test_pure_box_volume_exact(lower, widths, k, seed):
     poly = HPolytope(np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([hi, -lo]))
     assert poly.box_rows.size == 0
     assert estimate_volume(poly, k, RngStream(seed)) == (poly.bounding_box.volume, 0.0)
+
+
+def _lp_system(gen):
+    """A seeded LP min c.x s.t. A x <= b in 1-5 free variables, with
+    coefficients rounded to 0-2 decimals (so zero entries, ties and
+    degenerate vertices are common); a quarter are boxed, a quarter get a
+    contradictory pair of rows, and some repeat rows."""
+    n = int(gen.integers(1, 6))
+    m = int(gen.integers(1, 3 * n + 3))
+    A = np.round(gen.normal(size=(m, n)) * 2, int(gen.integers(0, 3)))
+    b = np.round(gen.normal(size=m) * 2 + 0.5, int(gen.integers(0, 2)))
+    kind = gen.integers(4)
+    if kind == 0:
+        A = np.vstack([A, np.eye(n), -np.eye(n)])
+        b = np.concatenate([b, np.full(n, 3.0), np.full(n, 3.0)])
+    elif kind == 1:
+        d = np.round(gen.normal(size=n), 1)
+        A = np.vstack([A, d, -d])
+        b = np.concatenate([b, [-1.0, -0.5]])
+    if gen.random() < 0.3:
+        rows = gen.integers(len(A), size=int(gen.integers(1, 4)))
+        A = np.vstack([A, A[rows]])
+        b = np.concatenate([b, b[rows]])
+    return np.round(gen.normal(size=n), int(gen.integers(0, 2))), A, b
+
+
+def _highs_lp(c, A, b):
+    """(status, value) from HiGHS. Feasibility and boundedness are decided
+    by two feasibility problems, the primal {A x <= b} and the dual
+    {y >= 0 : A^T y = -c}: HiGHS's presolve can report a feasible LP with
+    an unbounded objective as infeasible."""
+    free = (None, None)
+    if linprog(np.zeros_like(c), A_ub=A, b_ub=b, bounds=free, method="highs").status != 0:
+        return "infeasible", None
+    if linprog(np.zeros(len(b)), A_eq=A.T, b_eq=-c, bounds=(0, None),
+               method="highs").status != 0:
+        return "unbounded", None
+    res = linprog(c, A_ub=A, b_ub=b, bounds=free, method="highs")
+    assert res.status == 0, res.message
+    return "optimal", res.fun
+
+
+def test_lp_matches_highs():
+    gen = RngStream(2024).generator()
+    statuses = []
+    for _ in range(500):
+        c, A, b = system = _lp_system(gen)
+        try:
+            status, value = "optimal", _lp_min(c, A, b)[1]
+        except LPInfeasibleError:
+            status, value = "infeasible", None
+        except LPUnboundedError:
+            status, value = "unbounded", None
+        expected, oracle_value = _highs_lp(c, A, b)
+        assert status == expected, system
+        if status == "optimal":
+            assert abs(value - oracle_value) <= 1e-9 * max(1.0, abs(oracle_value)), system
+        statuses.append(status)
+    assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
