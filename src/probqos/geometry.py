@@ -343,7 +343,12 @@ def _chebyshev_center(A: np.ndarray, b: np.ndarray):
 
 
 def analytic_center(poly: HPolytope) -> np.ndarray:
-    """Minimizer of the log-barrier -sum_j log(b_j - a_j.x), by damped Newton."""
+    """Minimizer of the log-barrier -sum_j log(b_j - a_j.x), by damped Newton.
+
+    Stops once the gradient norm is at most BARRIER_GRAD_TOL, or once an
+    accepted Newton step leaves x unchanged: the step is then below the
+    rounding of x, and no later iteration can move it.
+    """
     A = poly.constraint_matrix
     b = poly.bounds
     x, radius = _chebyshev_center(A, b)
@@ -373,6 +378,8 @@ def analytic_center(poly: HPolytope) -> np.ndarray:
             t *= 0.5
         else:
             raise GeometryError("analytic center line search stalled")
+        if np.array_equal(xn, x):
+            return x
         x = xn
     raise GeometryError("analytic center did not converge")
 

@@ -3,36 +3,39 @@
 The estimator is the paper's Vol(R) * mean(density at uniform points of R),
 built on one pass of k uniform bounding-box proposals. The pass streams the
 proposals in cache-sized chunks, in one span per usable core, and evaluates
-the density on each chunk's hits as it goes; the per-chunk values are concatenated in draw order and
-reduced once. When the box acceptance is high enough, the pass's accepted
-points are the region sample and Vol(box) * hits/k is the volume, so the
-estimate is Vol(box) * mean(f * 1_R) over the k proposals; otherwise the
-pass supplies the volume and a Dikin walk the region sample. Both quantify
-their uncertainty and converge at the dimension-independent 1/sqrt(k) rate.
+the density on each chunk's hits as it goes; the per-chunk values are
+concatenated in draw order and reduced once. The accepted points are the
+region sample and Vol(box) * hits/k is the volume, so the estimate is
+Vol(box) * mean(f * 1_R) over the k proposals. A region that is too thin a
+sliver of its own box is first mapped onto its Dikin-rounded frame, where
+it fills a good share of its box, and the same pass runs there. The
+estimate converges at the dimension-independent 1/sqrt(k) rate, with an
+i.i.d. standard error.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import HPolytope, _sample_count, box_pass, volume_from_hits
+from .geometry import (
+    EmptyInteriorError,
+    HPolytope,
+    _sample_count,
+    box_pass,
+    volume_from_hits,
+)
 from .geometry import estimate_volume  # noqa: F401  (looked up here by perfbench/tracing.py)
 from .profiles import QoSProfile
 from .rng import RngStream, as_stream
-from .sampling import (
-    DIKIN_BURN_IN,
-    DIKIN_THINNING,
-    REJECTION_ACCEPTANCE_THRESHOLD,
+from .sampling import REJECTION_ACCEPTANCE_THRESHOLD, rounded_frame
+from .sampling import (  # noqa: F401  (looked up here by perfbench/tracing.py)
     dikin_walk,
-    rejection_sample,  # noqa: F401  (looked up here by perfbench/tracing.py)
+    rejection_sample,
 )
 
 DEFAULT_SAMPLES = 200_000
-
-log = logging.getLogger(__name__)
 
 
 class SchemaMismatchError(Exception):
@@ -64,6 +67,22 @@ def _box_mean(f: np.ndarray, k: int, box_volume: float):
     return box_volume * mean_g, box_volume * float(np.sqrt(ss / (k - 1) / k))
 
 
+def _density_in_frame(density, c: np.ndarray, M: np.ndarray):
+    """y -> density(c + M y) on an (h, n) array. Each coordinate is formed
+    by elementwise multiply-adds, so that every row gets the same bits
+    however many rows come together (a matrix product's rounding depends
+    on that)."""
+    def evaluate(y):
+        x = np.empty_like(y)
+        for i in range(c.shape[0]):
+            xi = np.full(y.shape[0], c[i])
+            for j in range(c.shape[0]):
+                xi += M[i, j] * y[:, j]
+            x[:, i] = xi
+        return density(x)
+    return evaluate
+
+
 def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
                       rng: "RngStream | int") -> IntegralEstimate:
     """Estimate the integral of the profile density over the region as V * mean(f).
@@ -74,40 +93,39 @@ def integrate_uniform(profile: QoSProfile, region: HPolytope, k: int,
     concatenated in draw order before any reduction. Above 4,096 proposals
     the pass runs in spans on several cores; each span draws the serial
     pass's bits and each profile density computes every point on its own,
-    so the estimate is bit-identical for any number of cores. When the acceptance
-    hits/k is at least REJECTION_ACCEPTANCE_THRESHOLD, the accepted
-    proposals are the uniform region points, so V * mean(f over the hits) =
-    Vol(box) * mean(f * 1_R) over all k proposals, whose standard error
-    Vol(box) * sd(f * 1_R) / sqrt(k) covers the volume's error too. Below
-    the threshold, the density at the hits goes unused and k region
-    points come from a Dikin walk on rng.substream(1), and the standard
-    error combines the density sample variance with the volume's binomial
-    error by first-order propagation. The walk takes DIKIN_BURN_IN +
-    DIKIN_THINNING * k steps, which can take minutes at the default k, so
-    a warning on this module's logger announces it first.
+    so the estimate is bit-identical for any number of cores. When the
+    acceptance hits/k is at least REJECTION_ACCEPTANCE_THRESHOLD, the
+    accepted proposals are the uniform region points, so V * mean(f over
+    the hits) = Vol(box) * mean(f * 1_R) over all k proposals, whose
+    standard error Vol(box) * sd(f * 1_R) / sqrt(k) covers the volume's
+    error too.
+
+    Below the threshold, the same estimate is taken in the region's
+    `rounded_frame` (c, M): a second pass of k proposals on
+    rng.substream(1) samples the box of the rounded region, which holds
+    the unit ball, and evaluates y -> density(c + M y). Its box volume is
+    Vol(box') * |det M|, and V is Vol(box') * |det M| * hits'/k. The
+    second pass's points are mapped row by row, so the estimate stays
+    bit-identical for any number of cores. A region with no interior (the
+    box pass cannot hit it) gets 0 with standard error 0.
     """
     k = _sample_count(k)
     _check_schema(profile, region)
     stream = as_stream(rng)
     hits, f = box_pass(region, k, stream.substream(0), profile.density)
     vbox = region.bounding_box.volume
-    volume, volume_se = volume_from_hits(vbox, hits, k)
-    if volume == 0.0:
-        return IntegralEstimate(0.0, 0.0, k, 0.0)
     if hits / k >= REJECTION_ACCEPTANCE_THRESHOLD:
         value, std_error = _box_mean(f, k, vbox)
-        return IntegralEstimate(value, std_error, k, volume)
-    log.warning("box acceptance %.4g is below %g: drawing k = %d region points "
-                "by a Dikin walk of %d steps", hits / k, REJECTION_ACCEPTANCE_THRESHOLD,
-                k, DIKIN_BURN_IN + DIKIN_THINNING * k)
-    points = dikin_walk(region, k, stream.substream(1))
-    f = profile.density(points)
-    mean_f = float(f.mean())
-    var_f = float(f.var(ddof=1))
-    value = volume * mean_f
-    std_error = float(np.sqrt(volume * volume * var_f / k
-                              + mean_f * mean_f * volume_se * volume_se))
-    return IntegralEstimate(value, std_error, k, volume)
+        return IntegralEstimate(value, std_error, k, volume_from_hits(vbox, hits, k)[0])
+    try:
+        c, M, rounded, det = rounded_frame(region)
+    except EmptyInteriorError:
+        return IntegralEstimate(0.0, 0.0, k, 0.0)
+    evaluate = _density_in_frame(profile.density, c, M)
+    hits, f = box_pass(rounded, k, stream.substream(1), evaluate)
+    vbox = rounded.bounding_box.volume * det
+    value, std_error = _box_mean(f, k, vbox)
+    return IntegralEstimate(value, std_error, k, volume_from_hits(vbox, hits, k)[0])
 
 
 class ConvergenceScan(NamedTuple):

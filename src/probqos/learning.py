@@ -274,8 +274,7 @@ class KDEProfile(QoSProfile):
 
     def sample(self, k, rng):
         """Mixture sampling: pick an observation, add bandwidth-scaled noise."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        k = _sample_count(k, 1)
         gen = as_stream(rng).generator()
         idx = gen.integers(self.m, size=k)
         noise = KERNELS[self.kernel].noise(gen, size=(k, self.dim))

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .geometry import Box, DimensionMismatchError
+from .geometry import Box, DimensionMismatchError, _sample_count
 from .rng import RngStream, as_stream
 
 
@@ -180,7 +180,8 @@ class QoSProfile(ABC):
 
     @abstractmethod
     def sample(self, k: int, rng: "RngStream | int") -> np.ndarray:
-        """k i.i.d. draws as a (k, n) array."""
+        """k i.i.d. draws as a (k, n) array. k must be an integer (a numpy
+        integer too) of at least 1, or ValueError is raised before any draw."""
 
     @abstractmethod
     def box_mass(self, box: Box) -> float:
@@ -219,6 +220,7 @@ class IndependentProduct(QoSProfile):
         return np.exp(logf, out=logf)
 
     def sample(self, k, rng):
+        k = _sample_count(k, 1)
         gen = as_stream(rng).generator()
         cols = [marg.sample(gen, k) for marg in self.marginals]
         return np.column_stack(cols)
@@ -298,8 +300,7 @@ class CorrelatedTPRT(QoSProfile):
 
     def sample(self, k, rng):
         """Ancestral sampling: TP (redrawn where the shape is nonpositive), then RT."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        k = _sample_count(k, 1)
         gen = as_stream(rng).generator()
         x1 = np.empty(k)
         got = 0
@@ -366,6 +367,7 @@ class UniformBox(QoSProfile):
         return np.where(inside, self._level, 0.0)
 
     def sample(self, k, rng):
+        k = _sample_count(k, 1)
         gen = as_stream(rng).generator()
         return gen.uniform(self.box.lower, self.box.upper, size=(k, self.dim))
 

@@ -1,11 +1,14 @@
-"""Uniform sampling inside bounded polytopes.
+"""Uniform sampling inside bounded polytopes, and the frame that rounds them.
 
-Two samplers: exact i.i.d. rejection sampling from the bounding box, and a
-Dikin-walk Markov chain for regions too thin for rejection to be practical.
-The integrator takes its region sample from the hits of its own box pass
-when the box acceptance is at least REJECTION_ACCEPTANCE_THRESHOLD, and
-from the Dikin walk below it; `rejection_sample` is the exact i.i.d.
-reference that the walk is checked against.
+`rejection_sample` gives exact i.i.d. points from bounding-box proposals.
+`rounded_frame` maps a region onto a frame where it is round: the region's
+Dikin ellipsoid at its analytic centre becomes the unit ball, so the region
+contains that ball and lies inside the ball of radius sqrt(m(m - 1)) for m
+rows, however thin a sliver of its own bounding box it was. The integrator
+runs its box pass in that frame when the region's own box acceptance is
+below REJECTION_ACCEPTANCE_THRESHOLD. `dikin_walk` is a Markov chain with
+barrier-ellipsoid proposals; no estimate in the program draws from it, and
+it is checked against `rejection_sample`.
 """
 
 from __future__ import annotations
@@ -15,14 +18,15 @@ import math
 
 import numpy as np
 
-from .geometry import HPolytope, analytic_center, box_pass
+from .geometry import HPolytope, _sample_count, analytic_center, box_pass
 from .rng import RngStream, as_stream
 
 log = logging.getLogger(__name__)
 
 MAX_CONSECUTIVE_REJECTS = 1_000_000
 
-# Rejection sampling is used above this box acceptance rate, the walk below.
+# The integrator samples a region's own bounding box at or above this box
+# acceptance rate, and the box of its rounded frame below it.
 REJECTION_ACCEPTANCE_THRESHOLD = 0.05
 
 # Dikin walk: steps discarded before the first emitted state, steps between
@@ -44,10 +48,11 @@ def rejection_sample(poly: HPolytope, k: int, rng: "RngStream | int") -> np.ndar
     Exact uniformity (no MCMC bias). The points are the first k hits, in
     draw order, of `box_pass`es of min(max(2k, 1024), 262144) proposals
     each, pass j on substream j of `rng`. Aborts with ThinRegionError once
-    10^6 proposals in whole consecutive passes have missed.
+    10^6 proposals in whole consecutive passes have missed. k must be an
+    integer (a numpy integer too) of at least 1, or ValueError is raised
+    before any draw.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _sample_count(k, 1)
     stream = as_stream(rng)
     batch = int(min(max(2 * k, 1024), 262_144))
     parts = []
@@ -75,6 +80,25 @@ def _barrier_cholesky(A: np.ndarray, s: np.ndarray):
     return L, logdet
 
 
+def rounded_frame(poly: HPolytope):
+    """(c, M, rounded, det): the region in the frame of its Dikin ellipsoid.
+
+    c is the analytic centre and H = L L^T the log-barrier Hessian there,
+    and M = L^-T, so x = c + M y maps the ellipsoid {x : (x - c)^T H (x - c)
+    <= 1} onto the unit ball. `rounded` is {y : A M y <= b - A c}, the
+    region in y, and det = |det M| = 1 / det L, so that the integral of f
+    over the region is det times the integral of f(c + M y) over `rounded`
+    (Boyd & Vandenberghe, Convex Optimization, 8.5.3).
+    """
+    A = poly.constraint_matrix
+    c = analytic_center(poly)
+    slack = poly.bounds - A @ c
+    L, logdet = _barrier_cholesky(A, slack)
+    M = np.linalg.inv(L).T
+    rounded = HPolytope(A @ M, slack, poly.attribute_names)
+    return c, M, rounded, math.exp(-0.5 * logdet)
+
+
 def dikin_walk(poly: HPolytope, k: int, rng: "RngStream | int" = 0) -> np.ndarray:
     """k approximately-uniform points from a Dikin-walk Markov chain.
 
@@ -84,10 +108,10 @@ def dikin_walk(poly: HPolytope, k: int, rng: "RngStream | int" = 0) -> np.ndarra
     interior and the reverse ellipsoid contains x, with r = 1.5/sqrt(n).
     Starts at the analytic center and emits every DIKIN_THINNING-th state
     after DIKIN_BURN_IN steps. Numerical boundary failures restart the chain
-    from the analytic center (counted, logged).
+    from the analytic center (counted, logged). k is checked as in
+    `rejection_sample`.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _sample_count(k, 1)
     n = poly.dim
     radius = DIKIN_RADIUS_SQRT_N / math.sqrt(n)
     gen = as_stream(rng).generator()

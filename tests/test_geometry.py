@@ -154,6 +154,18 @@ class TestAnalyticCenter:
         c = analytic_center(triangle)
         assert np.all(triangle.bounds - triangle.constraint_matrix @ c > 0.0)
 
+    def test_step_below_rounding_ends_the_newton_loop(self):
+        # at this band's centre the gradient norm stays at 2.18e-8, above
+        # BARRIER_GRAD_TOL, and the line search accepts a step that leaves
+        # x unchanged; the loop used to repeat it until it gave up
+        band = parse_region("29.462 <= TP && TP <= 91.413 && 0 <= RT && "
+                            "10 * TP - RT >= 188.065 && 10 * TP - RT <= 204.864", SCHEMA)
+        c = analytic_center(band)
+        slack = band.bounds - band.constraint_matrix @ c
+        gradient = band.constraint_matrix.T @ (1.0 / slack)
+        assert np.all(slack > 0.0)
+        assert geometry.BARRIER_GRAD_TOL < np.linalg.norm(gradient) < 1e-7
+
     def test_empty_interior(self):
         # the slab 0 <= x <= 0 has no interior point
         thin = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),

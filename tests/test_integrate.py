@@ -1,7 +1,6 @@
-import logging
-
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from probqos import (
     AttributeSchema,
@@ -17,7 +16,9 @@ from probqos import (
     rectangle_probability,
 )
 from probqos import geometry
+from probqos.geometry import box_pass
 from probqos.integrate import SchemaMismatchError
+from probqos.sampling import rounded_frame
 from probqos.reference import R_GOOD_TEXT, SCHEMA, correlated_profile, independent_profile
 
 R_BOX = parse_region("60 <= TP && TP <= 100 && 0 <= RT && RT <= 300", SCHEMA)
@@ -26,6 +27,11 @@ R_GOOD = parse_region(R_GOOD_TEXT, SCHEMA)
 THIN = parse_region(
     "0 <= TP && TP <= 100 && 0 <= RT && RT <= 1000 && "
     "10 * TP - RT <= 5 && RT - 10 * TP <= 5",
+    SCHEMA,
+)
+# the thin band of the roadmap: box acceptance ~2%
+BAND = parse_region(
+    "60 <= TP && TP <= 120 && 0 <= RT && 10 * TP - RT >= 200 && 10 * TP - RT <= 215",
     SCHEMA,
 )
 ORACLE = rectangle_probability(independent_profile(),
@@ -71,24 +77,65 @@ class TestIntegrateUniform:
         with pytest.raises(ValueError):
             integrate_uniform(independent_profile(), R_BOX, 1, RngStream(0))
 
-    def test_thin_region_uses_walk(self):
-        # acceptance < 5% switches samplers
-        est = integrate_uniform(independent_profile(), THIN, 5_000, RngStream(2))
-        assert 0.0 <= est.value <= 1.0
-        assert est.std_error > 0.0
+    def test_thin_region_uses_rounded_frame(self):
+        # THIN keeps about 1% of its box proposals, so the estimate is the
+        # box mean of a second pass, in the rounded frame on substream 1
+        prof, k, stream = independent_profile(), 5_000, RngStream(2)
+        est = integrate_uniform(prof, THIN, k, stream)
+        c, M, rounded, det = rounded_frame(THIN)
+        hits, f = box_pass(rounded, k, stream.substream(1),
+                           lambda y: prof.density(c + y @ M.T))
+        vbox = rounded.bounding_box.volume * det
+        assert hits / k > 0.5
+        assert est.value == pytest.approx(vbox * f.sum() / k, rel=1e-12)
+        assert est.volume_used == pytest.approx(vbox * hits / k, rel=1e-12)
+        # the band |10 TP - RT| <= 5 loses two corner triangles of 1.25
+        volume_se = vbox * np.sqrt(hits / k * (1 - hits / k) / k)
+        assert abs(est.volume_used - 997.5) <= 4 * volume_se
 
-    def test_only_a_walk_is_announced(self, caplog):
-        # the walk takes 1,000 + 10 k steps, so integrate_uniform warns once
-        # before it starts; a region the box pass samples is not announced
-        caplog.set_level(logging.WARNING, logger="probqos.integrate")
-        integrate_uniform(independent_profile(), R_GOOD, 2_000, RngStream(2))
-        assert [r for r in caplog.records if r.name == "probqos.integrate"] == []
-        integrate_uniform(independent_profile(), THIN, 200, RngStream(2))
-        (record,) = [r for r in caplog.records if r.name == "probqos.integrate"]
-        assert record.levelno == logging.WARNING
-        message = record.getMessage()
-        assert "box acceptance 0.0" in message
-        assert "k = 200 " in message and "3000 steps" in message
+    def test_region_without_interior_is_zero(self):
+        # the diagonal x = y of the unit square: its box has volume 1
+        line = HPolytope(np.array([[1.0, -1.0], [-1.0, 1.0], [-1.0, 0.0], [1.0, 0.0]]),
+                         np.array([0.0, 0.0, 0.0, 1.0]), ("x", "y"))
+        est = integrate_uniform(constant_profile(), line, 1_000, RngStream(3))
+        assert est == (0.0, 0.0, 1_000, 0.0)
+
+
+def band_quadrature(profile):
+    """P(BAND) on a CorrelatedTPRT: the TP density times the conditional
+    Gamma mass of RT in [10 TP - 215, 10 TP - 200], by adaptive quadrature
+    over TP in [60, 120]."""
+    def integrand(tp):
+        rt = stats.gamma(profile.alpha - (tp - profile.mu) / profile.mu,
+                         scale=1.0 / profile.beta)
+        return (stats.norm.pdf(tp, profile.mu, np.sqrt(profile.sigma2))
+                * (rt.cdf(10 * tp - 200) - rt.cdf(10 * tp - 215)))
+    return integrate.quad(integrand, 60.0, 120.0, epsabs=1e-14, epsrel=1e-12)[0]
+
+
+class TestRoundedFrame:
+    def test_calibrated_on_thin_band(self):
+        # BAND keeps about 2% of its box proposals: every estimate comes
+        # from the rounded frame
+        prof = correlated_profile()
+        truth = band_quadrature(prof)
+        assert truth == pytest.approx(0.0030635, abs=1e-7)
+        estimates = [integrate_uniform(prof, BAND, 2_000, RngStream(s)) for s in range(200)]
+        values = np.array([e.value for e in estimates])
+        spread = float(values.std(ddof=1))
+        reported = float(np.mean([e.std_error for e in estimates]))
+        assert abs(values.mean() - truth) <= 4 * spread / np.sqrt(len(values))
+        assert abs(spread / reported - 1.0) <= 0.15, (spread, reported)
+
+    def test_frame_holds_the_unit_ball(self):
+        # the Dikin ellipsoid at the analytic centre lies inside the region
+        # (Boyd & Vandenberghe 8.5.3): every row of the rounded region is
+        # at least distance 1 from the origin
+        c, M, rounded, det = rounded_frame(BAND)
+        A, b = rounded.constraint_matrix, rounded.bounds
+        assert np.all(b / np.linalg.norm(A, axis=1) >= 1.0 - 1e-12)
+        assert det == pytest.approx(abs(np.linalg.det(M)), rel=1e-12)
+        np.testing.assert_allclose(A, BAND.constraint_matrix @ M, rtol=0, atol=0)
 
 
 class TestSingleBoxPass:
@@ -138,10 +185,24 @@ class TestWorkerCount:
         for workers in (2, 3, 7):
             assert results[workers] == results[1]
 
+    @pytest.mark.parametrize("profile", ["correlated", "independent", "kde", "uniform"])
+    def test_rounded_frame_does_not_depend_on_workers(self, monkeypatch, profile):
+        # THIN's own pass and its rounded pass each split into spans at
+        # k = 20,000
+        prof = span_profiles()[profile]
+        results = {}
+        for workers in (1, 2, 3, 7):
+            monkeypatch.setattr(geometry, "_WORKERS", workers)
+            results[workers] = integrate_uniform(prof, THIN, 20_000, RngStream(11))
+        assert results[1].value > 0.0 or profile == "uniform"
+        for workers in (2, 3, 7):
+            assert results[workers] == results[1]
+
 
 class TestPinnedEstimates:
     """A seed fixes every draw: these values pin the layout of the box pass
-    and the Dikin walk, so a change that moves a draw shows up here."""
+    in the region's own box and in its rounded frame, so a change that
+    moves a draw shows up here."""
 
     def test_rejection_regime(self):
         # R_GOOD keeps 92% of its box proposals: the hits are the sample
@@ -150,12 +211,13 @@ class TestPinnedEstimates:
         assert est.std_error == pytest.approx(0.0011778332492246395, rel=1e-12)
         assert est.volume_used == pytest.approx(10988.4, rel=1e-12)
 
-    def test_dikin_regime(self):
-        # THIN keeps about 1% of its box proposals: the walk supplies the sample
+    def test_rounded_regime(self):
+        # THIN keeps about 1% of its box proposals: the rounded frame's
+        # box pass supplies the sample
         est = integrate_uniform(independent_profile(), THIN, 2_000, RngStream(2))
-        assert est.value == pytest.approx(0.01126240043165887, rel=1e-12)
-        assert est.std_error == pytest.approx(0.0024015829862932304, rel=1e-12)
-        assert est.volume_used == pytest.approx(1100.0, rel=1e-12)
+        assert est.value == pytest.approx(0.010603985668718336, rel=1e-12)
+        assert est.std_error == pytest.approx(0.00023685379908490868, rel=1e-12)
+        assert est.volume_used == pytest.approx(996.7703229676998, rel=1e-12)
 
 
 class TestConvergenceScan:

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from probqos import HPolytope, RngStream, dikin_walk, rejection_sample
+from probqos import (
+    HPolytope,
+    KDEProfile,
+    RngStream,
+    UniformBox,
+    dikin_walk,
+    parse_region,
+    rejection_sample,
+)
+from probqos import sampling
 from probqos.geometry import box_pass
+from probqos.reference import R_GOOD_TEXT, SCHEMA, correlated_profile, independent_profile
 from probqos.sampling import ThinRegionError
 
 
@@ -78,3 +88,35 @@ class TestDikinWalk:
         pts = dikin_walk(thin_slab(1e-4), 2_000, rng=0)
         assert thin_slab(1e-4).contains_all(pts).all()
         assert abs(pts.mean()) < 0.2
+
+
+R_GOOD = parse_region(R_GOOD_TEXT, SCHEMA)
+KDE = KDEProfile(SCHEMA, RngStream(5).generator().uniform(0.0, 1.0, size=(40, 2)) * [100.0, 600.0],
+                 "gaussian", (8.0, 50.0))
+SAMPLERS = {
+    "rejection_sample": lambda k: rejection_sample(R_GOOD, k, RngStream(3)),
+    "dikin_walk": lambda k: dikin_walk(R_GOOD, k, RngStream(3)),
+    "correlated": lambda k: correlated_profile().sample(k, RngStream(3)),
+    "independent": lambda k: independent_profile().sample(k, RngStream(3)),
+    "uniform": lambda k: UniformBox(SCHEMA, R_GOOD.bounding_box).sample(k, RngStream(3)),
+    "kde": lambda k: KDE.sample(k, RngStream(3)),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+class TestSampleCount:
+    """Every sampler takes a numpy integer as the int it equals, and refuses
+    a float or a count below 1 before it draws anything."""
+
+    def test_numpy_integer_equals_int(self, sampler):
+        np.testing.assert_array_equal(SAMPLERS[sampler](np.int64(10)), SAMPLERS[sampler](10))
+
+    @pytest.mark.parametrize("k", [10.0, 0])
+    def test_float_or_below_one_refused(self, monkeypatch, sampler, k):
+        def no_draws(*args):
+            raise AssertionError("drew before checking k")
+
+        monkeypatch.setattr(sampling, "box_pass", no_draws)
+        monkeypatch.setattr(RngStream, "generator", no_draws)
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            SAMPLERS[sampler](k)
