@@ -705,6 +705,49 @@ class TestFitKDECV:
             assert got[key] == pytest.approx(want[key], rel=1e-12), key
         assert (profile.kernel, profile.fit_info["multiplier"]) == brute_force_choice(want)
 
+    def test_far_and_duplicated_records_match_brute_force(self):
+        # record 0 lies 10^3 Scott bandwidths of the other records from
+        # them on both axes (about 100 of the whole set's), and record 2
+        # repeats record 1: in both kernels the squaring chain underflows
+        # the far record's term in every held-out row outside its fold,
+        # and a held-out twin's nearest distance is 0
+        obs = gaussian_records(1000, seed=15).observations.copy()
+        rest = QoSRecordSet(SCHEMA_XY, obs[1:])
+        obs[0] = obs[1:].mean(axis=0) + 1e3 * bandwidth_scott(rest)
+        obs[2] = obs[1]
+        records = QoSRecordSet(SCHEMA_XY, obs)
+        profile = fit_kde_cv(records, rng=16)
+        want = brute_force_scores(records, 16)
+        got = profile.fit_info["candidate_scores"]
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert math.isfinite(got[key]), key
+            assert got[key] == pytest.approx(want[key], rel=1e-12), key
+        assert (profile.kernel, profile.fit_info["multiplier"]) == brute_force_choice(want)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "exponential"])
+    def test_grid_factors_step_by_powers_of_two(self, kernel):
+        # fit_kde_cv reaches each multiplier's exp-sum terms by squaring the
+        # next wider one's, which is exact only when neighbouring factors
+        # t^-degree differ by an integer power of two
+        degree = learning.KERNELS[kernel].degree
+        factors = [t ** -degree for t in learning.CV_MULTIPLIERS]
+        squarings = learning._cv_squarings(degree)
+        for narrow, wide, count in zip(factors, factors[1:], squarings):
+            ratio = narrow / wide
+            mantissa, exponent = math.frexp(ratio)
+            assert mantissa == 0.5 and exponent >= 2, (narrow, wide)
+            assert ratio == 2.0 ** count
+        assert squarings[-1] == 0
+        assert sum(squarings) == {"gaussian": 8, "exponential": 4}[kernel]
+
+    @pytest.mark.parametrize("grid", [(0.25, 0.5, 1.0, 1.5, 4.0), (0.3, 0.6, 1.2),
+                                      (1.0, 0.5, 2.0)])
+    def test_grid_off_the_squaring_chain_is_refused(self, grid, monkeypatch):
+        monkeypatch.setattr(learning, "CV_MULTIPLIERS", grid)
+        with pytest.raises(LearningError, match="CV multipliers?"):
+            fit_kde_cv(gaussian_records(50), rng=0)
+
     def test_fixture_selections_by_seed(self, fixtures_dir):
         records = QoSRecordSet.from_csv(fixtures_dir / "records_xcorr_1000.csv")
         fits = [fit_kde_cv(records, rng=seed) for seed in range(12)]
@@ -718,7 +761,12 @@ class TestFitKDECV:
         for seed in range(20):
             records = QoSRecordSet(SCHEMA, source.sample(1000, RngStream(100 + seed)))
             profile = fit_kde_cv(records, rng=seed)
-            want = brute_force_choice(brute_force_scores(records, seed))
+            scores = brute_force_scores(records, seed)
+            if seed < 3:  # the Laplace chain at m = 1000, score by score
+                got = profile.fit_info["candidate_scores"]
+                for key in scores:
+                    assert got[key] == pytest.approx(scores[key], rel=1e-12), (seed, key)
+            want = brute_force_choice(scores)
             assert (profile.kernel, profile.fit_info["multiplier"]) == want, seed
 
     def test_metadata_recorded(self):
