@@ -39,9 +39,9 @@ CV_KERNELS = ("gaussian", "exponential")
 CV_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 CV_FOLDS = 5
 
-# Elements of one (rows, m) block of log_density. The block is sized for
-# cache, not for memory: its two float64 buffers (512 KiB each) stay in a
-# core's L2 cache across the per-axis sweep and the exp-sum. On a 2 MiB-L2
+# Elements of one (rows, m) block: of log_density's two float64 buffers and
+# fit_kde_cv's three (512 KiB each), sized for cache, not for memory, to stay
+# in a core's L2 across the per-axis sweep and the exp-sum. On a 2 MiB-L2
 # Xeon, 2**16 ran 1.2-1.5x faster than 2**18 and 2**20 at m = 1000 and 10,000.
 _MAX_ELEMENTS = 1 << 16
 
@@ -216,13 +216,14 @@ class KDEProfile(QoSProfile):
     def log_density(self, points: np.ndarray) -> np.ndarray:
         """Vectorized log f-hat, in blocks of rows without a (k, m, n) temporary.
 
-        `_shifted_blocks` gives each block's d_min - D, and the row sum of
-        its exp is taken in place, so log f = log sum exp(d_min - D) - d_min
-        - const and points far from every observation keep a finite log
-        density. Every step is elementwise or a row reduction, so a row's
-        value does not depend on the other rows of the call or on where the
-        block boundaries fall. A point with a NaN coordinate gets NaN; any
-        other point with an infinite coordinate gets -inf (density 0).
+        In coordinates centred on the observation mean and divided by the
+        bandwidths, one (rows, m) buffer per block sums D = sum_j d(x_j - o_j)
+        axis by axis, d(u) = u^2 / 2 (Gaussian) or |u| (Laplace), and is
+        shifted by its row minimum d_min: log f = log sum exp(d_min - D) -
+        d_min - const stays finite far from every observation. Each step is
+        elementwise or per row, so a row's value does not depend on the other
+        rows of the call or on the block boundaries. A point with a NaN
+        coordinate gets NaN; any other with an infinite one gets -inf.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
@@ -234,25 +235,8 @@ class KDEProfile(QoSProfile):
         if not finite.all():
             out[~finite] = np.where(np.isnan(pts[~finite]).any(axis=1), np.nan, -np.inf)
             pts = pts[finite]
-        log_sums = np.empty(pts.shape[0])
-        for rows, d, _, d_min in self._shifted_blocks(pts):
-            np.exp(d, out=d)
-            log_sums[rows] = np.log(d.sum(axis=1)) - d_min
-        out[finite] = log_sums - self._log_norm
-        return out
-
-    def _shifted_blocks(self, pts: np.ndarray):
-        """Yield (rows, d_min - D, spare, d_min) per block of the finite points.
-
-        Points and observations are centred on the observation mean and
-        divided by the bandwidths. For each block of rows, one (rows, m)
-        buffer accumulates D = sum_j d(x_j - o_j), one subtract/distance/add
-        sweep per axis, where d(u) = u^2 / 2 (Gaussian) or |u| (Laplace),
-        so log kernel = -D - const. D is then shifted in place by its row
-        minimum d_min. `spare` is a free buffer of the block's shape; both
-        buffers are reused for the next block.
-        """
         x = (pts - self._centre) / self._scale
+        log_sums = np.empty(x.shape[0])
         rows = max(_MAX_ELEMENTS // self.m, 1)
         buf = np.empty((min(rows, x.shape[0]), self.m))
         scratch = np.empty_like(buf)
@@ -267,7 +251,10 @@ class KDEProfile(QoSProfile):
                 d += t
             d_min = d.min(axis=1)
             np.subtract(d_min[:, None], d, out=d)
-            yield slice(lo, lo + len(xb)), d, t, d_min
+            np.exp(d, out=d)
+            log_sums[lo:lo + len(xb)] = np.log(d.sum(axis=1)) - d_min
+        out[finite] = log_sums - self._log_norm
+        return out
 
     def density(self, points):
         return np.exp(self.log_density(points))
@@ -484,60 +471,73 @@ def fit_kde_cv(records: QoSRecordSet, rng=0) -> KDEProfile:
     selection is deterministic in (records, seed). Ties break toward the
     larger bandwidth multiplier (the smoother model).
 
-    Each (kernel, fold) runs the per-axis distance sweep once, at the Scott
-    bandwidths: at multiplier t every distance is D / t^p (p = 2 Gaussian,
-    1 Laplace), so with c = t^-p a held-out row scores log sum_j
-    exp((d_min - D_j) c) - d_min c - log_norm - n log t. The shift stays
-    exact at every t, because c > 0 keeps the nearest observation nearest
-    and its term is exp(0) = 1.
-
-    Each block takes one exp, at the widest multiplier. Every c is a power
-    of two, so the multiply by it is exact, and each narrower multiplier's
-    terms are the wider one's squared in place, p times per halving of t.
-    A term's relative error doubles with each squaring, to at most 2^8 ulp
-    (about 6e-14) at the narrowest Gaussian t. A term that underflows on
-    the way moves no score: every row sum is at least the nearest term's 1.
+    Each fold divides its records, centred on the training mean, by the
+    Scott bandwidths times the widest multiplier T, exactly (T is a power of
+    two). One sweep per axis feeds both kernels: each held-out/training
+    difference u is taken once, |u| adds to the Laplace distance D and u^2
+    to twice the Gaussian one, halved exactly. At multiplier t the distance
+    is D c, c = (T / t)^p (p = 2 Gaussian, 1 Laplace), and a held-out row
+    scores log sum_j exp((d_min - D_j) c) - d_min c - log_norm - n log t,
+    d_min its minimum (a shift exact at every t: the nearest term is exp(0)
+    = 1). Each block takes one exp per kernel, at T, and squares the terms
+    in place, p times per halving of t, so every c must be a power of two;
+    the row sums are einsums. A term's relative error doubles with each
+    squaring, to at most 2^8 ulp (about 6e-14) at the narrowest Gaussian t,
+    and a term that underflows moves no score: every row sum is at least 1.
     """
     if records.m < CV_FOLDS:
         raise LearningError(f"need at least {CV_FOLDS} records for {CV_FOLDS} folds, "
                             f"got {records.m}")
     grid = list(CV_MULTIPLIERS)
-
+    squarings = [_cv_squarings(KERNELS[k].degree) for k in CV_KERNELS]
+    c = [[(grid[-1] / g) ** KERNELS[k].degree for g in grid] for k in CV_KERNELS]
     base = bandwidth_scott(records)
-    gen = as_stream(rng).generator()
-    order = gen.permutation(records.m)
+    order = as_stream(rng).generator().permutation(records.m)
     obs = records.observations
-    # (training, held-out) index arrays per fold; training keeps the
-    # permutation order
+    # (training, held-out) indices per fold; training keeps the permutation order
     splits = [(np.delete(order, np.s_[f::CV_FOLDS]), order[f::CV_FOLDS])
               for f in range(CV_FOLDS)]
+    log_h = float(np.sum(np.log(base)))
     log_mults = records.dim * np.log(grid)
-
-    best = None  # (score, multiplier, kernel)
-    scores = {}
-    for kernel in CV_KERNELS:
-        factors = [g ** -KERNELS[kernel].degree for g in grid]
-        squarings = _cv_squarings(KERNELS[kernel].degree)
-        totals = np.zeros(len(grid))
-        for train, held in splits:
-            model = KDEProfile(records.schema, obs[train], kernel, base)
-            log_sums = np.empty((len(grid), len(held)))
-            for rows, d, _, d_min in model._shifted_blocks(obs[held]):
-                np.multiply(d, factors[-1], out=d)
+    log_norms = np.array([records.dim * KERNELS[k].log_norm for k in CV_KERNELS])
+    buffers = np.empty((3, max(_MAX_ELEMENTS, records.m)))  # one difference, two sums
+    totals = np.zeros((len(CV_KERNELS), len(grid)))
+    for train, held in splits:
+        centre = obs[train].mean(axis=0)
+        train_t = np.ascontiguousarray(((obs[train] - centre) / (base * grid[-1])).T)
+        x = (obs[held] - centre) / (base * grid[-1])
+        rows = max(_MAX_ELEMENTS // len(train), 1)
+        log_sums = np.empty((len(CV_KERNELS), len(grid), len(held)))
+        for lo in range(0, len(held), rows):
+            xb = x[lo:lo + rows]
+            diff, laplace, gaussian = (b[:len(xb) * len(train)].reshape(len(xb), -1)
+                                       for b in buffers)
+            np.subtract(xb[:, :1], train_t[0], out=laplace)
+            np.abs(laplace, out=laplace)
+            np.square(laplace, out=gaussian)
+            for j in range(1, records.dim):
+                np.subtract(xb[:, j:j + 1], train_t[j], out=diff)
+                np.abs(diff, out=diff)
+                laplace += diff
+                np.square(diff, out=diff)
+                gaussian += diff
+            gaussian *= 0.5
+            for k, d in enumerate((gaussian, laplace)):  # CV_KERNELS order
+                d_min = d.min(axis=1)
+                np.subtract(d_min[:, None], d, out=d)
                 np.exp(d, out=d)
                 for i in reversed(range(len(grid))):
-                    for _ in range(squarings[i]):
+                    for _ in range(squarings[k][i]):
                         np.square(d, out=d)
-                    log_sums[i, rows] = np.log(d.sum(axis=1)) - d_min * factors[i]
-            log_sums -= (model._log_norm + log_mults)[:, None]
-            totals += log_sums.sum(axis=1)
-        for mult, total in zip(grid, totals):
-            score = float(total) / records.m
-            scores[(kernel, mult)] = score
-            if best is None or score > best[0] or (score == best[0] and mult > best[1]):
-                best = (score, mult, kernel)
+                    log_sums[k, i, lo:lo + rows] = np.log(np.einsum("ij->i", d)) - d_min * c[k][i]
+        log_sums -= ((math.log(len(train)) + log_h + log_norms)[:, None] + log_mults)[:, :, None]
+        totals += log_sums.sum(axis=2)
 
-    score, mult, kernel = best
+    scores = {(kernel, mult): float(total) / records.m
+              for kernel, row in zip(CV_KERNELS, totals) for mult, total in zip(grid, row)}
+    # the first best in scoring order, ties going to the larger multiplier
+    kernel, mult = max(scores, key=lambda key: (scores[key], key[1]))
+    score = scores[(kernel, mult)]
     if not math.isfinite(score):
         raise LearningError("every candidate scored -inf held-out log-likelihood")
     h = base * mult

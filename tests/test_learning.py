@@ -26,9 +26,9 @@ from probqos.reference import R_GOOD_TEXT, SCHEMA, correlated_profile
 SCHEMA_XY = AttributeSchema(("x", "y"))
 
 
-def gaussian_records(m: int, seed: int = 0) -> QoSRecordSet:
+def gaussian_records(m: int, seed: int = 0, n: int = 2) -> QoSRecordSet:
     gen = RngStream(seed).generator()
-    return QoSRecordSet(SCHEMA_XY, gen.standard_normal((m, 2)))
+    return QoSRecordSet(AttributeSchema(("x", "y", "z")[:n]), gen.standard_normal((m, n)))
 
 
 class TestRecordSet:
@@ -494,8 +494,8 @@ def direct_log_density(obs, h, kernel, x):
 
 def blockwise_log_density(profile, pts):
     """log f-hat of finite points by the block loop written out in one
-    piece, without `_shifted_blocks`: the reference `log_density` must
-    match bit for bit."""
+    piece, with fresh temporaries: the reference `log_density` must match
+    bit for bit."""
     x = (pts - profile._centre) / profile._scale
     rows = max(learning._MAX_ELEMENTS // profile.m, 1)
     log_sums = np.empty(x.shape[0])
@@ -688,12 +688,14 @@ class TestFitKDECV:
                                                              abs=1e-9)
 
     @pytest.mark.parametrize("m", [7, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("grid", [(0.25, 0.5, 1.0, 2.0, 4.0)])
-    def test_scores_match_brute_force(self, m, grid):
+    def test_scores_match_brute_force(self, m, n, grid):
         # m = 7 gives uneven folds (2, 2, 1, 1, 1); at m = 1000 a fold's 200
-        # held-out rows span 3 blocks of its 800 training records. `grid` is
-        # the multipliers fit_kde_cv scores, written out for the reference.
-        records = gaussian_records(m, seed=13)
+        # held-out rows span 3 blocks of its 800 training records. n = 1
+        # sweeps no axis after the first, n = 3 two. `grid` is the
+        # multipliers fit_kde_cv scores, written out for the reference.
+        records = gaussian_records(m, seed=13, n=n)
         if m == 1000:
             assert -(-200 // (learning._MAX_ELEMENTS // 800)) == 3
         profile = fit_kde_cv(records, rng=14)
@@ -704,6 +706,17 @@ class TestFitKDECV:
         for key in want:
             assert got[key] == pytest.approx(want[key], rel=1e-12), key
         assert (profile.kernel, profile.fit_info["multiplier"]) == brute_force_choice(want)
+
+    @pytest.mark.parametrize("m", [7, 25, 1000])
+    def test_scores_independent_of_block_boundaries(self, m, monkeypatch):
+        # every step of the fit is elementwise or per row, so 64-element
+        # blocks change no bit: at m = 7 they hold a whole fold's held-out
+        # rows, at m = 25 its 5 split 3 + 2, and at m = 1000 each block
+        # holds one row, where the default block holds 81
+        records = gaussian_records(m, seed=17)
+        want = fit_kde_cv(records, rng=18).fit_info["candidate_scores"]
+        monkeypatch.setattr(learning, "_MAX_ELEMENTS", 64)
+        assert fit_kde_cv(records, rng=18).fit_info["candidate_scores"] == want
 
     def test_far_and_duplicated_records_match_brute_force(self):
         # record 0 lies 10^3 Scott bandwidths of the other records from
